@@ -45,7 +45,11 @@ class Operation:
 
 
 class FiniteAlgebra:
-    """A finite algebra: named universe size plus a list of operations."""
+    """A finite algebra: named universe size plus a tuple of operations.
+
+    The operations are fixed at construction, so results memoized per
+    algebra (such as closures) cannot go stale.
+    """
 
     def __init__(self, name: str, size: int, operations: Sequence[Operation]):
         if size < 1:
@@ -54,9 +58,9 @@ class FiniteAlgebra:
             raise AlgebraFormatError(f"size {size} exceeds the supported maximum of 255")
         self.name = name
         self.size = size
-        self.operations = list(operations)
+        self._operations = tuple(operations)
         self._by_name: dict[str, Operation] = {}
-        for op in self.operations:
+        for op in self._operations:
             if op.name in self._by_name:
                 raise AlgebraFormatError(f"duplicate operation name {op.name!r}")
             expected = size**op.arity
@@ -71,7 +75,11 @@ class FiniteAlgebra:
                     )
             self._by_name[op.name] = op
         # numpy views of the tables, used throughout the closure machinery
-        self._arrays = {op.name: np.asarray(op.table, dtype=np.uint8) for op in self.operations}
+        self._arrays = {op.name: np.asarray(op.table, dtype=np.uint8) for op in self._operations}
+
+    @property
+    def operations(self) -> tuple[Operation, ...]:
+        return self._operations
 
     def operation(self, name: str) -> Operation:
         try:
@@ -101,7 +109,7 @@ class FiniteAlgebra:
         return op.table[flat_index(args, self.size)]
 
     def with_operations(self, extra: Sequence[Operation], name: str | None = None) -> "FiniteAlgebra":
-        return FiniteAlgebra(name or self.name, self.size, self.operations + list(extra))
+        return FiniteAlgebra(name or self.name, self.size, self._operations + tuple(extra))
 
     def reduct(self, names: Iterable[str], name: str | None = None) -> "FiniteAlgebra":
         ops = [self.operation(n) for n in names]

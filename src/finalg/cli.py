@@ -532,12 +532,18 @@ def _cmd_polyclone(args, started) -> int:
             code = EXIT_CAPPED
     elif sub == "lclo-check":
         gens = _parse_polys(fld, args.polys, "F")
-        split = verify_homovariate_split(
-            gens,
-            window=args.window,
-            max_arity=args.max_arity,
-            closure_cap=size_cap or 65536,
-        )
+        try:
+            split = verify_homovariate_split(
+                gens,
+                window=args.window,
+                max_arity=args.max_arity,
+                closure_cap=size_cap or 65536,
+            )
+        except CapExceeded as exc:
+            caps.append("homovariate split capped")
+            results = {"skipped": str(exc)}
+            _finish(f"polyclone {sub}", digest, parameters, results, caps, started, args.json_out)
+            return EXIT_CAPPED
         results = {
             "window": split.window,
             "generators": [str(p) for p in split.generators.sorted()],

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import gcd
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -130,6 +130,7 @@ class ClosureResult:
     generator_tables: np.ndarray | None = None  # span strategy only
     core_recipes: list[Recipe] = field(default_factory=list)
     generator_core_ids: list[int] = field(default_factory=list)
+    stopped: bool = False  # bfs halted at its first row satisfying `until`
 
     def __len__(self) -> int:
         return self.tables.shape[0]
@@ -137,12 +138,12 @@ class ClosureResult:
     @property
     def count(self) -> int:
         """Best known size of the closure; a lower bound only when capped
-        without span structure."""
+        without span structure, or stopped early."""
         return self.exact_count if self.exact_count is not None else len(self)
 
     @property
     def exact(self) -> bool:
-        return self.exact_count is not None or not self.capped
+        return self.exact_count is not None
 
     def __contains__(self, f: FiniteFunction) -> bool:
         if f.arity != self.arity or f.size != self.algebra.size:
@@ -237,13 +238,15 @@ def _explicit_closure(
     seeds: list[tuple[np.ndarray, Recipe]],
     cap: int,
     depth_cap: int | None = None,
+    until: Callable[[np.ndarray], bool] | None = None,
 ) -> ClosureResult:
     size = algebra.size
     wid = size**arity
     rows: list[np.ndarray] = []
     index: dict[bytes, int] = {}
     recipes: list[Recipe] = []
-    capped = False
+    # why the search ended early: "cap" (row or depth cap) or "until"
+    stop: str | None = None
 
     # candidate batches are screened against the known rows with sorted
     # fixed-width comparisons, so the python-level add only ever sees rows
@@ -255,20 +258,22 @@ def _explicit_closure(
     fresh_dirty = False
 
     def add(row: np.ndarray, recipe: Recipe) -> None:
-        nonlocal capped, fresh_dirty
-        if capped:
+        nonlocal stop, fresh_dirty
+        if stop:
             return
         key = row.tobytes()
         if key in index:
             return
         if len(rows) >= cap:
-            capped = True
+            stop = "cap"
             return
         index[key] = len(rows)
         rows.append(np.array(row, dtype=np.uint8))
         recipes.append(recipe)
         fresh.append(key)
         fresh_dirty = True
+        if until is not None and until(rows[-1]):
+            stop = "until"
 
     def new_offsets(batch: np.ndarray) -> np.ndarray:
         """Ascending offsets of batch rows not yet in the closure."""
@@ -306,32 +311,32 @@ def _explicit_closure(
     ]
     round_lo = 0
     depth = 0
-    while round_lo < len(rows) and not capped:
+    while round_lo < len(rows) and not stop:
         if depth_cap is not None and depth >= depth_cap:
-            capped = True
+            stop = "cap"
             break
         depth += 1
         hi = len(rows)
         stack = np.stack(rows[:hi])
         for name, k, tab in ops:
-            if capped:
+            if stop:
                 break
             if k == 1:
                 batch = tab[stack[round_lo:hi]]
                 for off in new_offsets(batch):
                     add(batch[off], ("op", name, (round_lo + int(off),)))
-                    if capped:
+                    if stop:
                         break
             elif k == 2:
                 # old prefixes meet new last operands; new prefixes meet all
                 for plo, phi, llo in ((0, round_lo, round_lo), (round_lo, hi, 0)):
-                    if capped or plo >= phi or llo >= hi:
+                    if stop or plo >= phi or llo >= hi:
                         continue
                     lasts = stack[llo:hi]
                     width = hi - llo
                     block = max(1, 4_000_000 // (width * wid))
                     for b0 in range(plo, phi, block):
-                        if capped:
+                        if stop:
                             break
                         b1 = min(b0 + block, phi)
                         # size <= 255 keeps pre*size + last below 2**16
@@ -341,11 +346,11 @@ def _explicit_closure(
                             off = int(off)
                             recipe = ("op", name, (b0 + off // width, llo + off % width))
                             add(batch[off], recipe)
-                            if capped:
+                            if stop:
                                 break
             else:
                 for prefix in itertools.product(range(hi), repeat=k - 1):
-                    if capped:
+                    if stop:
                         break
                     pref_idx = rows[prefix[0]].astype(np.int64)
                     for j in prefix[1:]:
@@ -357,13 +362,14 @@ def _explicit_closure(
                     batch = tab[pref_idx[None, :] * size + stack[lo_last:hi]]
                     for off in new_offsets(batch):
                         add(batch[off], ("op", name, prefix + (lo_last + int(off),)))
-                        if capped:
+                        if stop:
                             break
         round_lo = hi
 
     tables = np.stack(rows)
     return ClosureResult(
-        algebra, arity, "bfs", tables, index, recipes, capped, None if capped else len(rows)
+        algebra, arity, "bfs", tables, index, recipes, stop == "cap", None if stop else len(rows),
+        stopped=stop == "until",
     )
 
 
@@ -652,13 +658,21 @@ def _close(
     cap: int,
     strategy: str,
     depth_cap: int | None,
+    until: Callable[[np.ndarray], bool] | None = None,
 ) -> ClosureResult:
     if arity < 0:
         raise ValueError("arity must be >= 0")
     if strategy not in ("auto", "span", "bfs"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    # closures are pure functions of the operation tables, so they are safe
-    # to memoize as long as algebras are never mutated after construction
+    if until is not None:
+        if strategy != "bfs":
+            raise ValueError("a stop predicate needs the bfs strategy")
+        # the predicate is not part of the cache key, so a prefix it cut
+        # short must never be served as the closure
+        seeds = _seed_rows(algebra, arity, with_constants)
+        return _explicit_closure(algebra, arity, seeds, cap, depth_cap, until)
+    # closures are pure functions of the operation tables, which an algebra
+    # never changes after construction, so they are safe to memoize
     cache = algebra.__dict__.setdefault("_closure_cache", {})
     key = (arity, with_constants, cap, strategy, depth_cap)
     hit = cache.get(key)
@@ -690,14 +704,25 @@ def term_functions(
     cap: int = DEFAULT_CAP,
     strategy: str = "auto",
     depth_cap: int | None = None,
+    until: Callable[[np.ndarray], bool] | None = None,
 ) -> ClosureResult:
     """Closure of the projections under the fundamental operations.
 
     For arity 0 only constants derivable from nullary symbols appear.
     A depth_cap bounds composition depth and forces the explicit
     breadth-first strategy, since the span shortcut loses depths.
+
+    until, allowed only with strategy="bfs", is a predicate on a row of
+    function values.  The search stops as soon as a newly added row
+    satisfies it and returns the breadth-first prefix up to and including
+    that row, marked stopped: not exact, with no exact_count, and never
+    cached.  Without a hit the result is what the same call without until
+    returns: exact at fixpoint, or capped.
     """
-    return _close(algebra, arity, with_constants=False, cap=cap, strategy=strategy, depth_cap=depth_cap)
+    return _close(
+        algebra, arity, with_constants=False, cap=cap, strategy=strategy, depth_cap=depth_cap,
+        until=until,
+    )
 
 
 def polynomial_functions(

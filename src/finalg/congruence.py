@@ -324,12 +324,6 @@ def is_congruence_uniform(algebra: FiniteAlgebra) -> bool:
     return all(has_uniform_blocks(c) for c in congruence_lattice(algebra))
 
 
-def congruences_between(
-    lattice: Sequence[Congruence], low: Congruence, high: Congruence
-) -> list[Congruence]:
-    return [c for c in lattice if low.refines(c) and c.refines(high)]
-
-
 def maximal_congruence_chain(algebra: FiniteAlgebra) -> list[Congruence]:
     """An unrefinable chain from the identity to the full congruence.
 

@@ -33,19 +33,6 @@ class MalcevWitness:
         return self.function.as_grid()
 
 
-def _identity_mask(tables: np.ndarray, size: int) -> np.ndarray:
-    """Boolean mask over rows of ternary tables: which satisfy both identities."""
-    xs = np.arange(size, dtype=np.int64)
-    x = np.repeat(xs, size)
-    y = np.tile(xs, size)
-    # row layout is x*size^2 + y*size + z, leftmost argument most significant
-    idx_xyy = x * size * size + y * size + y
-    idx_xxy = x * size * size + x * size + y
-    ok_first = (tables[:, idx_xyy] == x[np.newaxis, :]).all(axis=1)
-    ok_second = (tables[:, idx_xxy] == y[np.newaxis, :]).all(axis=1)
-    return ok_first & ok_second
-
-
 def find_malcev_term(
     algebra: FiniteAlgebra,
     depth_cap: int | None = None,
@@ -53,26 +40,39 @@ def find_malcev_term(
 ) -> MalcevWitness | None:
     """Search the ternary term functions for a Mal'cev witness.
 
-    Returns the first witness found by breadth-first closure (so the
-    term has minimal composition depth), or None when the exhaustive
-    closure contains no such function.  When the search is cut off by
-    depth_cap or cap before finding one, the answer is unknown and
-    CapExceeded is raised instead of returning None.
+    The ternary terms are enumerated breadth-first and the search stops
+    at the first one satisfying both identities, so the term has minimal
+    composition depth and is the same one a full closure would list
+    first.  Returns None when the exhaustive closure contains no such
+    function.  When the search is cut off by depth_cap or cap before
+    finding one, the answer is unknown and CapExceeded is raised instead
+    of returning None.
     """
-    closure = term_functions(algebra, 3, cap=cap, strategy="bfs", depth_cap=depth_cap)
-    tables = closure.tables.astype(np.int64, copy=False)
-    mask = _identity_mask(tables, algebra.size)
-    hits = np.flatnonzero(mask)
-    if hits.size == 0:
+    size = algebra.size
+    xs = np.arange(size, dtype=np.int64)
+    x = np.repeat(xs, size)
+    y = np.tile(xs, size)
+    # row layout is x*size^2 + y*size + z, leftmost argument most significant;
+    # d(x,y,y) = x and d(x,x,y) = y are checked on these 2|A|^2 cells
+    cells = np.concatenate([x * size * size + y * size + y, x * size * size + x * size + y])
+    wanted = np.concatenate([x, y]).astype(np.uint8)
+
+    def is_malcev(row: np.ndarray) -> bool:
+        return np.array_equal(row[cells], wanted)
+
+    closure = term_functions(
+        algebra, 3, cap=cap, strategy="bfs", depth_cap=depth_cap, until=is_malcev
+    )
+    if not closure.stopped:
         if closure.capped:
             raise CapExceeded(
                 "closure search cut off before finding a Mal'cev term; "
                 "existence is undecided at this cap"
             )
         return None
-    first = int(hits[0])
-    func = FiniteFunction(3, algebra.size, closure.tables[first].tobytes())
-    return MalcevWitness(term=closure.term_for(first), function=func, verified=True)
+    last = len(closure) - 1
+    func = FiniteFunction(3, size, closure.tables[last].tobytes())
+    return MalcevWitness(term=closure.term_for(last), function=func, verified=True)
 
 
 def plus_minus_o(

@@ -4,13 +4,15 @@ Everything here works on plain Python tuples and recomputes from first
 principles: clone closure by naive fixpoint iteration, congruences by
 checking the definition against every operation, commutators via the
 term-condition matrices.  Nothing imports the modules under test except
-for the shared table containers.
+for the shared table containers, and the full breadth-first closure that
+the Mal'cev reference scans.
 """
 from __future__ import annotations
 
 import itertools
 
-from finalg.algebra import FiniteAlgebra, unflatten_index
+from finalg.algebra import CapExceeded, FiniteAlgebra, unflatten_index
+from finalg.clones import term_functions
 
 
 def naive_closure(
@@ -52,6 +54,28 @@ def naive_closure(
                 add(out)
         changed = len(found) > before
     return set(found)
+
+
+def malcev_by_full_closure(
+    algebra: FiniteAlgebra, depth_cap: int | None = None, cap: int = 1 << 20
+) -> tuple[int, str, bytes] | None:
+    """Mal'cev search by building the whole ternary bfs closure, then scanning.
+
+    Returns (row index, term s-expression, table) of the first row with
+    d(x,y,y) = x and d(x,x,y) = y, None when the closure reached its
+    fixpoint without one, and raises CapExceeded when it was cut off first.
+    """
+    closure = term_functions(algebra, 3, cap=cap, strategy="bfs", depth_cap=depth_cap)
+    size = algebra.size
+    for fid in range(len(closure)):
+        d = closure.function(fid)
+        if all(
+            d((x, y, y)) == x and d((x, x, y)) == y for x in range(size) for y in range(size)
+        ):
+            return fid, closure.term_for(fid).to_sexpr(), d.values
+    if closure.capped:
+        raise CapExceeded("closure cut off before a Mal'cev term appeared")
+    return None
 
 
 def all_partitions(n: int):

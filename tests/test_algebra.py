@@ -24,6 +24,7 @@ from finalg.algebra import (
     unflatten_index,
 )
 from finalg.catalog import example_names, load_example
+from finalg.clones import term_functions
 
 
 def z4_doc():
@@ -99,6 +100,19 @@ def test_reduct_and_with_operations():
     ext = alg.with_operations([dbl])
     assert ext.apply("dbl", (3,)) == 2
     assert alg.has_operation("neg") and not red.has_operation("neg")
+
+
+def test_operations_are_frozen_so_closures_cannot_go_stale():
+    z4 = parse_algebra(z4_doc())
+    assert len(term_functions(z4, 2)) == 16
+    c1 = Operation("c1", 0, (1,))
+    with pytest.raises(AttributeError):
+        z4.operations.append(c1)
+    with pytest.raises(AttributeError):
+        z4.operations = z4.operations + (c1,)
+    assert len(term_functions(z4, 2)) == 16
+    # the constant 1 adds every translate: all 64 affine maps a*x + b*y + c
+    assert len(term_functions(z4.with_operations([c1]), 2)) == 64
 
 
 def test_eval_term_and_sexpr():

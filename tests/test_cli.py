@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import finalg
+from finalg.algebra import CapExceeded
 from finalg.cli import EXIT_CAPPED, EXIT_INPUT, EXIT_OK, EXIT_WITNESS, main
 
 FIXTURES = Path(finalg.__file__).parent / "fixtures"
@@ -210,6 +211,19 @@ class TestPolyclone:
         res = report["results"]
         assert res["ok"] is True
         assert all(c["equal"] and c["conclusive"] for c in res["arities"])
+
+    def test_split_check_reports_a_cap_instead_of_a_traceback(self, capsys, monkeypatch):
+        def capped(*args, **kwargs):
+            raise CapExceeded("generator span exceeds the cap")
+
+        monkeypatch.setattr("finalg.cli.verify_homovariate_split", capped)
+        code, report, _ = run_cli(
+            capsys, "polyclone", "lclo-check", "--field", "2",
+            "--polys", "x1*x2*x3*x4", "--window", 4,
+        )
+        assert code == EXIT_CAPPED
+        assert report["results"] == {"skipped": "generator span exceeds the cap"}
+        assert report["caps_hit"] == ["homovariate split capped"]
 
     def test_product_substitutes_both_sides(self, capsys):
         code, report, _ = run_cli(

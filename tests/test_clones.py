@@ -102,6 +102,29 @@ def test_cap_behaviour():
     assert part.exact and part.count == 65536 and len(part) == 100
 
 
+def test_until_returns_an_uncached_bfs_prefix():
+    z4 = load_example("z4")
+    full = term_functions(z4, 2, strategy="bfs")
+    target = full.tables[9]
+    stopped = term_functions(z4, 2, strategy="bfs", until=lambda row: np.array_equal(row, target))
+    assert stopped.stopped and not stopped.capped
+    assert not stopped.exact and stopped.exact_count is None
+    assert np.array_equal(stopped.tables, full.tables[:10])
+    assert stopped.recipes == full.recipes[:10]
+    # a predicate nothing satisfies leaves the closure as it was
+    never = term_functions(z4, 2, strategy="bfs", until=lambda row: False)
+    assert not never.stopped and never.exact
+    assert np.array_equal(never.tables, full.tables)
+    # the prefix was not cached in place of the closure
+    fresh = load_example("z4")
+    term_functions(fresh, 2, strategy="bfs", until=lambda row: np.array_equal(row, target))
+    again = term_functions(fresh, 2, strategy="bfs")
+    assert again.exact and len(again) == len(full)
+    for strategy in ("auto", "span"):
+        with pytest.raises(ValueError):
+            term_functions(z4, 2, strategy=strategy, until=lambda row: False)
+
+
 def test_terms_reproduce_tables():
     m = load_example("m")
     z4 = load_example("z4")

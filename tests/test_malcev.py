@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finalg.algebra import CapExceeded, FiniteAlgebra, FiniteFunction, Operation, Var, term_table
-from finalg.catalog import load_example
-from finalg.clones import _abelian_group_info
+from finalg.catalog import example_names, load_example
+from finalg.clones import DEFAULT_CAP, _abelian_group_info, term_functions
 from finalg.congruence import commutator, congruence_lattice, zero_congruence, one_congruence
 from finalg.malcev import (
     MalcevWitness,
@@ -12,6 +14,9 @@ from finalg.malcev import (
     plus_minus_o,
     zero_block_group,
 )
+
+from oracles import malcev_by_full_closure
+from test_acceptance import random_malcev_groupoid
 
 
 GROUPISH = ["z4", "z8", "z2z2", "d4", "q8", "m"]
@@ -68,6 +73,63 @@ def test_cap_exceeded_is_unknown_not_absence():
         find_malcev_term(z4, cap=3)
     # x + (-y) + z style terms appear at composition depth two
     assert find_malcev_term(z4, depth_cap=2) is not None
+
+
+def search_outcome(search, algebra, cap, depth_cap):
+    """(term, table) of the witness, None for a certified absence, or "undecided"."""
+    try:
+        found = search(algebra, depth_cap=depth_cap, cap=cap)
+    except CapExceeded:
+        return "undecided"
+    if isinstance(found, MalcevWitness):
+        return found.term.to_sexpr(), found.function.values
+    return None if found is None else found[1:]
+
+
+def assert_early_stop_matches_full_closure(algebra, cap):
+    """Compare at the cap, and just below and at the first witness's row."""
+    try:
+        hit = malcev_by_full_closure(algebra, cap=cap)
+    except CapExceeded:
+        hit = None
+    caps = [cap] if hit is None else [hit[0], hit[0] + 1, cap]
+    for cap in caps:
+        for depth_cap in (1, 2, 3, None):
+            fast = search_outcome(find_malcev_term, algebra, cap, depth_cap)
+            full = search_outcome(malcev_by_full_closure, algebra, cap, depth_cap)
+            assert fast == full, (algebra.name, cap, depth_cap)
+
+
+@pytest.mark.parametrize("name", example_names())
+def test_early_stop_matches_full_closure_on_fixtures(name):
+    assert_early_stop_matches_full_closure(load_example(name), DEFAULT_CAP)
+
+
+def test_early_stop_matches_full_closure_on_random_malcev_groupoids():
+    # their whole ternary clone is far too large for the reference at the
+    # default cap, so the reference runs to the cap the generated groupoids use
+    for seed in range(20):
+        assert_early_stop_matches_full_closure(random_malcev_groupoid(seed), 2000)
+
+
+@st.composite
+def binary_groupoids(draw):
+    size = draw(st.integers(1, 3))
+    table = draw(st.lists(st.integers(0, size - 1), min_size=size**2, max_size=size**2))
+    return FiniteAlgebra("generated", size, [Operation("f", 2, tuple(table))])
+
+
+@settings(max_examples=40, deadline=None)
+@given(binary_groupoids(), st.integers(1, 2000))
+def test_early_stop_matches_full_closure_on_generated_groupoids(algebra, cap):
+    assert_early_stop_matches_full_closure(algebra, cap)
+
+
+def test_search_caches_no_prefix():
+    d4 = load_example("d4")
+    assert find_malcev_term(d4) is not None
+    closure = term_functions(d4, 3, strategy="bfs")
+    assert closure.exact and len(closure) == 512
 
 
 def test_determinism():
