@@ -48,7 +48,7 @@ class FiniteAlgebra:
     """A finite algebra: named universe size plus a tuple of operations.
 
     The operations are fixed at construction, so results memoized per
-    algebra (such as closures) cannot go stale.
+    algebra in closure_cache cannot go stale.
     """
 
     def __init__(self, name: str, size: int, operations: Sequence[Operation]):
@@ -76,6 +76,8 @@ class FiniteAlgebra:
             self._by_name[op.name] = op
         # numpy views of the tables, used throughout the closure machinery
         self._arrays = {op.name: np.asarray(op.table, dtype=np.uint8) for op in self._operations}
+        # closures keyed by their parameters, filled by finalg.clones
+        self.closure_cache: dict[tuple, object] = {}
 
     @property
     def operations(self) -> tuple[Operation, ...]:
@@ -333,15 +335,7 @@ def constant_function(arity: int, size: int, value: int) -> FiniteFunction:
 
 def essential_arity(f: FiniteFunction) -> int:
     """Number of argument positions the function actually depends on."""
-    if f.arity == 0:
-        return 0
-    grid = f.as_grid()
-    essential = 0
-    for axis in range(f.arity):
-        first = np.take(grid, [0], axis=axis)
-        if not np.array_equal(np.broadcast_to(first, grid.shape), grid):
-            essential += 1
-    return essential
+    return len(depends_on(f))
 
 
 def depends_on(f: FiniteFunction) -> tuple[int, ...]:

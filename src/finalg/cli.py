@@ -32,7 +32,7 @@ from .congruence import (
     nilpotency_class,
 )
 from .expansion import expand_pipeline
-from .fields import finite_field
+from .fields import finite_field, prime_power
 from .malcev import find_malcev_term
 from .polyclone import (
     PolySet,
@@ -92,17 +92,6 @@ def _check_zero(algebra: FiniteAlgebra, zero: int) -> None:
         raise CliInputError(f"zero element {zero} outside 0..{algebra.size - 1}")
 
 
-def _algebra_dict(algebra: FiniteAlgebra) -> dict:
-    return {
-        "name": algebra.name,
-        "size": algebra.size,
-        "operations": [
-            {"name": op.name, "arity": op.arity, "table": list(op.table)}
-            for op in algebra.operations
-        ],
-    }
-
-
 def _finish(command, digest, parameters, results, caps_hit, started, json_out) -> None:
     report = {
         "command": command,
@@ -116,22 +105,6 @@ def _finish(command, digest, parameters, results, caps_hit, started, json_out) -
     print(text)
     if json_out:
         Path(json_out).write_text(text + "\n", encoding="utf-8")
-
-
-def _prime_power(n: int):
-    """(p, e) with p prime and p**e == n, or None."""
-    if n < 2:
-        return None
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            m, e = n, 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            return (p, e) if m == 1 else None
-        p += 1
-    return (n, 1)
 
 
 def _listing(polys) -> dict:
@@ -273,11 +246,11 @@ def _cmd_expand(args, started) -> int:
         "group_factors": [len(f.members) for f in pipe.group.factors],
         "checks": [{"name": c.name, "passed": c.passed} for c in pipe.report.checks],
         "all_passed": all(c.passed for c in pipe.report.checks),
-        "expanded_algebra": _algebra_dict(expanded),
+        "expanded_algebra": expanded.to_json(),
     }
     if args.out:
         Path(args.out).write_text(
-            json.dumps(_algebra_dict(expanded), indent=1) + "\n", encoding="utf-8"
+            json.dumps(expanded.to_json(), indent=1) + "\n", encoding="utf-8"
         )
         results["output_path"] = args.out
     _finish("expand", digest, parameters, results, caps, started, args.json_out)
@@ -300,7 +273,7 @@ def _cmd_bound_verify(args, started) -> int:
     m = algebra.max_arity
     h = lattice_height(congruence_lattice(algebra))
     results: dict = {"q": q, "m": m, "h": h}
-    if q >= 2 and _prime_power(q) is None:
+    if q >= 2 and prime_power(q) is None:
         # the degree bound is stated per prime-power factor; splitting a
         # mixed-order algebra into factors is left to the caller
         real, ceiling = log_height_bound(q, m)

@@ -13,18 +13,20 @@ Two closure strategies share one result type:
   independent generators, and compositions only ever need to run over
   generator tuples: f(sum n_i g_i, sum m_j h_j) expands by
   multilinearity into a combination of the f(g_i, h_j).  This makes
-  closures with tens of thousands of members exact and cheap.
+  closures with tens of thousands of members exact and cheap.  For a
+  prime exponent, membership is rank over F_p: the group detection,
+  coordinates and echelon form come from finalg.fields.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import gcd
 from typing import Callable, Iterator
 
 import numpy as np
 
 from .algebra import App, Const, FiniteAlgebra, FiniteFunction, Term, Var
+from .fields import PrimeSpan, abelian_group_info, group_coordinates, is_prime
 
 DEFAULT_CAP = 1 << 20
 
@@ -43,39 +45,7 @@ class SpanStructure:
 
     @property
     def prime(self) -> bool:
-        n = self.exponent
-        return n > 1 and all(n % k for k in range(2, int(n**0.5) + 1))
-
-
-def _abelian_group_info(tab: np.ndarray) -> tuple[int, np.ndarray, int] | None:
-    size = tab.shape[0]
-    if not np.array_equal(tab, tab.T):
-        return None
-    ident = None
-    for e in range(size):
-        if np.array_equal(tab[e], np.arange(size, dtype=tab.dtype)):
-            ident = e
-            break
-    if ident is None:
-        return None
-    left = tab[tab.reshape(-1), :].reshape(size, size, size)
-    right = tab[:, tab.reshape(-1)].reshape(size, size, size)
-    if not np.array_equal(left, right):
-        return None
-    neg = np.full(size, -1, dtype=np.int64)
-    for a in range(size):
-        hits = np.nonzero(tab[a] == ident)[0]
-        if len(hits) == 0:
-            return None
-        neg[a] = hits[0]
-    exponent = 1
-    for a in range(size):
-        order, x = 1, a
-        while x != ident:
-            x = tab[x, a]
-            order += 1
-        exponent = exponent * order // gcd(exponent, order)
-    return ident, neg, int(exponent)
+        return is_prime(self.exponent)
 
 
 def _is_multilinear(grid: np.ndarray, plus: np.ndarray) -> bool:
@@ -97,7 +67,7 @@ def additive_structure(algebra: FiniteAlgebra) -> SpanStructure | None:
         if op.arity != 2:
             continue
         tab = algebra.op_array(op.name).reshape(algebra.size, algebra.size)
-        info = _abelian_group_info(tab)
+        info = abelian_group_info(tab)
         if info is None:
             continue
         zero, neg, exponent = info
@@ -373,36 +343,41 @@ def _explicit_closure(
     )
 
 
-def _span_closure_core(
+def _span_closure_prime(
     algebra: FiniteAlgebra,
     arity: int,
     seeds: list[tuple[np.ndarray, Recipe]],
+    cap: int,
     span: SpanStructure,
-    in_span,
-    note_generator,
-):
-    """Shared generator discovery: returns (core_rows, core_recipes, gens)."""
+) -> ClosureResult:
     size = algebra.size
     wid = size**arity
+    p = span.exponent
+    plus_flat = span.plus.reshape(-1)
+    # (A, plus) as an F_p vector space, for membership tests
+    coord_table = group_coordinates(span.plus, span.zero, p)
+    echelon = PrimeSpan(p)
+
+    # generator discovery: every registered row is a core function; those
+    # outside the span so far are generators, and compositions only need
+    # to run over generator tuples that involve a generator new this round
     core_rows: list[np.ndarray] = []
     core_recipes: list[Recipe] = []
     core_index: dict[bytes, int] = {}
     gens: list[int] = []
     new_gens: list[int] = []
 
-    def register(row: np.ndarray, recipe: Recipe) -> int:
+    def register(row: np.ndarray, recipe: Recipe) -> None:
         key = row.tobytes()
         if key in core_index:
-            return core_index[key]
+            return
         cid = len(core_rows)
         core_index[key] = cid
         core_rows.append(np.array(row, dtype=np.uint8))
         core_recipes.append(recipe)
-        if not in_span(row):
-            note_generator(row)
+        if echelon.add(coord_table[row].reshape(-1)):
             gens.append(cid)
             new_gens.append(cid)
-        return cid
 
     for row, recipe in seeds:
         register(row, recipe)
@@ -427,65 +402,7 @@ def _span_closure_core(
                 for g in combo[1:]:
                     idx = idx * size + core_rows[g]
                 register(tab[idx].astype(np.uint8), ("op", name, combo))
-    return core_rows, core_recipes, gens
 
-
-def _span_closure_prime(
-    algebra: FiniteAlgebra,
-    arity: int,
-    seeds: list[tuple[np.ndarray, Recipe]],
-    cap: int,
-    span: SpanStructure,
-) -> ClosureResult:
-    size = algebra.size
-    wid = size**arity
-    p = span.exponent
-    plus_flat = span.plus.reshape(-1)
-
-    # coordinates of (A, plus) as an F_p vector space, for membership tests
-    basis_elems: list[int] = []
-    reach: dict[int, tuple[int, ...]] = {span.zero: ()}
-    for a in range(size):
-        if a in reach:
-            continue
-        basis_elems.append(a)
-        extended = {}
-        for elt, coord in list(reach.items()):
-            x = elt
-            reach[elt] = coord + (0,)
-            for mult in range(1, p):
-                x = span.plus[x, a]
-                extended[x] = coord + (mult,)
-        reach.update(extended)
-    dim = len(basis_elems)
-    coord_table = np.zeros((size, dim), dtype=np.int64)
-    for elt, coord in reach.items():
-        coord_table[elt] = coord
-
-    pivots: list[int] = []
-    echelon: list[np.ndarray] = []
-
-    def reduce_vec(vec: np.ndarray) -> np.ndarray:
-        v = vec % p
-        for piv, erow in zip(pivots, echelon):
-            c = v[piv]
-            if c:
-                v = (v - c * erow) % p
-        return v
-
-    def in_span(row: np.ndarray) -> bool:
-        return not reduce_vec(coord_table[row].reshape(-1)).any()
-
-    def note_generator(row: np.ndarray) -> None:
-        v = reduce_vec(coord_table[row].reshape(-1))
-        piv = int(np.nonzero(v)[0][0])
-        inv = pow(int(v[piv]), -1, p)
-        pivots.append(piv)
-        echelon.append((v * inv) % p)
-
-    core_rows, core_recipes, gens = _span_closure_core(
-        algebra, arity, seeds, span, in_span, note_generator
-    )
     if not core_rows:
         return _empty_result(algebra, arity, "span")
 
@@ -673,7 +590,7 @@ def _close(
         return _explicit_closure(algebra, arity, seeds, cap, depth_cap, until)
     # closures are pure functions of the operation tables, which an algebra
     # never changes after construction, so they are safe to memoize
-    cache = algebra.__dict__.setdefault("_closure_cache", {})
+    cache = algebra.closure_cache
     key = (arity, with_constants, cap, strategy, depth_cap)
     hit = cache.get(key)
     if hit is not None:

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, Operation, Term, term_table
+from .algebra import FiniteAlgebra, Operation
 
 
 @dataclass(frozen=True)
@@ -440,47 +440,3 @@ def relation_preservation_witness(
             at = int(np.flatnonzero(~ok)[0])
             return tuple(tuple(cols[int(p[at])]) for p in picks)
     return None
-
-
-def _malcev_grid(algebra: FiniteAlgebra, d: Term) -> np.ndarray:
-    grid = term_table(algebra, d, 3).as_grid()
-    s = algebra.size
-    for x in range(s):
-        for y in range(s):
-            if grid[x, y, y] != x or grid[x, x, y] != y:
-                raise ValueError("term does not satisfy the Mal'cev identities")
-    return grid
-
-
-def centrality_check(algebra: FiniteAlgebra, zeta: Congruence, d: Term) -> bool:
-    """Whether zeta is central, tested relationally.
-
-    Builds the 4-ary relation of pairs (a1,a2) in zeta extended by any
-    a3 and the value d(a1,a2,a3), and checks that every fundamental
-    operation preserves it.  Equivalent to the commutator of zeta with
-    the full congruence being trivial.
-    """
-    grid = _malcev_grid(algebra, d)
-    s = algebra.size
-    rows = []
-    for a1 in range(s):
-        for a2 in range(s):
-            if not zeta.related(a1, a2):
-                continue
-            for a3 in range(s):
-                rows.append((a1, a2, a3, int(grid[a1, a2, a3])))
-    tuples = np.array(rows, dtype=np.int64)
-    zb = np.array(zeta.block_of, dtype=np.int64)
-    dflat = grid.reshape(-1).astype(np.int64)
-
-    def member(cand: np.ndarray) -> np.ndarray:
-        lookup = dflat[(cand[:, 0] * s + cand[:, 1]) * s + cand[:, 2]]
-        return (zb[cand[:, 0]] == zb[cand[:, 1]]) & (lookup == cand[:, 3])
-
-    for op in algebra.operations:
-        bad = relation_preservation_witness(
-            algebra.op_array(op.name), op.arity, s, tuples, member
-        )
-        if bad is not None:
-            return False
-    return True

@@ -16,13 +16,13 @@ per-level blocks of o, which this module also materializes.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import lcm, prod
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, FiniteFunction, Operation, term_table
-from .clones import _abelian_group_info
+from .algebra import FiniteAlgebra, FiniteFunction, Operation
 from .congruence import (
     CentralSeries,
     Congruence,
@@ -33,7 +33,8 @@ from .congruence import (
     quotient_congruence,
     relation_preservation_witness,
 )
-from .malcev import MalcevWitness, find_malcev_term
+from .fields import abelian_group_info, element_orders, is_prime
+from .malcev import MalcevWitness, find_malcev_term, malcev_grid
 
 
 @dataclass(frozen=True)
@@ -54,16 +55,7 @@ class GroupFactor:
         return len(self.members)
 
     def element_orders(self) -> list[int]:
-        k = self.order
-        grid = np.array(self.plus, dtype=np.int64).reshape(k, k)
-        orders = []
-        for a in range(k):
-            n, x = 1, a
-            while x != self.zero:
-                x = int(grid[x, a])
-                n += 1
-            orders.append(n)
-        return orders
+        return element_orders(np.reshape(self.plus, (self.order, -1)), self.zero)
 
 
 @dataclass(frozen=True)
@@ -82,8 +74,7 @@ class AssociatedGroup:
 
     @property
     def is_elementary_abelian(self) -> bool:
-        e = self.exponent
-        return self.order == 1 or (e > 1 and all(e % p for p in range(2, e)))
+        return self.order == 1 or is_prime(self.exponent)
 
     def order_profile(self) -> dict[int, int]:
         """How many elements of each order the product group has."""
@@ -96,16 +87,6 @@ class AssociatedGroup:
                     nxt[key] = nxt.get(key, 0) + cnt
             profile = nxt
         return profile
-
-
-def _quotient_malcev_grid(quotient: FiniteAlgebra, d: MalcevWitness) -> np.ndarray:
-    grid = term_table(quotient, d.term, 3).as_grid().astype(np.int64)
-    s = quotient.size
-    for x in range(s):
-        for y in range(s):
-            if grid[x, y, y] != x or grid[x, x, y] != y:
-                raise ValueError("witness term loses the Mal'cev identities in a quotient")
-    return grid
 
 
 def associated_abelian_group(
@@ -123,7 +104,7 @@ def associated_abelian_group(
         lower = series.congruences[i - 1]
         upper = series.congruences[i]
         qres = quotient_algebra(algebra, lower)
-        grid = _quotient_malcev_grid(qres.algebra, d)
+        grid = malcev_grid(qres.algebra, d.term)
         obar = qres.to_class[o]
         members = sorted({qres.to_class[x] for x in range(algebra.size) if upper.related(x, o)})
         rank = {g: j for j, g in enumerate(members)}
@@ -131,7 +112,7 @@ def associated_abelian_group(
         neg = tuple(rank[int(grid[obar, g, obar])] for g in members)
         factor = GroupFactor(tuple(members), plus, neg, rank[obar])
         k = factor.order
-        info = _abelian_group_info(np.array(plus, dtype=np.int64).reshape(k, k))
+        info = abelian_group_info(np.array(plus, dtype=np.int64).reshape(k, k))
         if info is None or info[0] != factor.zero:
             raise ValueError(f"level {i} block of the zero element is not an abelian group")
         factors.append(factor)
@@ -187,7 +168,7 @@ def _expand(
     size = algebra.size
     if size == 1:
         return np.zeros((1, 1), dtype=np.int64), np.zeros(1, dtype=np.int64)
-    grid = _quotient_malcev_grid(algebra, d)
+    grid = malcev_grid(algebra, d.term)
     plus_o = grid[:, o, :]
     minus_o = grid[:, :, o]
     neg_o = grid[o, :, o]
@@ -261,18 +242,6 @@ class ExpansionReport:
         raise KeyError(name)
 
 
-def _order_profile_of_table(plus: np.ndarray, zero: int) -> dict[int, int]:
-    size = plus.shape[0]
-    profile: dict[int, int] = {}
-    for a in range(size):
-        n, x = 1, a
-        while x != zero:
-            x = int(plus[x, a])
-            n += 1
-        profile[n] = profile.get(n, 0) + 1
-    return profile
-
-
 def _congruence_tuples(cong: Congruence) -> np.ndarray:
     rows = [
         (a, b)
@@ -331,7 +300,7 @@ def verify_expansion(
     except ValueError as exc:
         checks.append(CheckResult("group-structure", False, str(exc)))
     if group is not None:
-        info = _abelian_group_info(plus)
+        info = abelian_group_info(plus)
         if info is None:
             checks.append(
                 CheckResult("group-structure", False, "+ is not an abelian group table")
@@ -345,7 +314,7 @@ def verify_expansion(
                 CheckResult("group-structure", False, "- does not invert +")
             )
         else:
-            got = _order_profile_of_table(plus, o)
+            got = dict(Counter(element_orders(plus, o)))
             want = group.order_profile()
             ok = got == want and group.order == size
             detail = f"element order profile {got} vs block product {want}"

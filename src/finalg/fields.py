@@ -1,4 +1,4 @@
-"""Small finite fields as explicit operation tables.
+"""Small finite fields, and the group and F_p-linear helpers they rest on.
 
 Elements are labelled 0..q-1.  A label is read as the base-p digit
 vector of the element over the prime subfield, so addition is always
@@ -7,8 +7,16 @@ multiplicative identity.  Prime fields use plain modular arithmetic;
 the orders 4, 8 and 9 are built from fixed irreducible polynomials.
 Every constructed field re-verifies the full set of field axioms
 exhaustively on its finished tables.
+
+The rest of the package shares the group and F_p-linear helpers kept
+here: primality, element orders and abelian-group detection on Cayley
+tables, F_p coordinates of an elementary abelian p-group, and an
+incremental echelon form over GF(p).  This module imports nothing from
+the rest of the package, so any module can use them.
 """
 from __future__ import annotations
+
+from math import isqrt, lcm
 
 import numpy as np
 
@@ -20,8 +28,140 @@ _REDUCTIONS = {
 }
 
 
-def _is_prime(n: int) -> bool:
-    return n >= 2 and all(n % k for k in range(2, int(n**0.5) + 1))
+def is_prime(n: int) -> bool:
+    return n >= 2 and all(n % k for k in range(2, isqrt(n) + 1))
+
+
+def prime_power(n: int) -> tuple[int, int] | None:
+    """(p, e) with p prime and p**e == n, or None."""
+    if n < 2:
+        return None
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            m, e = n, 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            return (p, e) if m == 1 else None
+        p += 1
+    return (n, 1)
+
+
+def element_orders(plus: np.ndarray, zero: int) -> list[int]:
+    """Order of each element of a group given by its Cayley table.
+
+    An element order never exceeds the group order, so an element whose
+    multiples do not reach zero by then shows the table is not a group.
+    """
+    size = plus.shape[0]
+    orders = []
+    for a in range(size):
+        n, x = 1, a
+        while x != zero:
+            if n >= size:
+                raise ValueError(f"the multiples of {a} never reach {zero}: not a group")
+            x = int(plus[x, a])
+            n += 1
+        orders.append(n)
+    return orders
+
+
+def abelian_group_info(tab: np.ndarray) -> tuple[int, np.ndarray, int] | None:
+    """(identity, negation table, exponent) when tab is the Cayley table of
+    an abelian group, else None."""
+    size = tab.shape[0]
+    if not np.array_equal(tab, tab.T):
+        return None
+    ident = None
+    for e in range(size):
+        if np.array_equal(tab[e], np.arange(size, dtype=tab.dtype)):
+            ident = e
+            break
+    if ident is None:
+        return None
+    left = tab[tab.reshape(-1), :].reshape(size, size, size)
+    right = tab[:, tab.reshape(-1)].reshape(size, size, size)
+    if not np.array_equal(left, right):
+        return None
+    neg = np.full(size, -1, dtype=np.int64)
+    for a in range(size):
+        hits = np.nonzero(tab[a] == ident)[0]
+        if len(hits) == 0:
+            return None
+        neg[a] = hits[0]
+    return ident, neg, lcm(*element_orders(tab, ident))
+
+
+def group_coordinates(plus: np.ndarray, zero: int, p: int) -> np.ndarray:
+    """F_p coordinates of an elementary abelian p-group over a greedy basis.
+
+    Each element, in label order, that the basis so far does not reach
+    becomes the next basis vector; row a of the (size, dim) result holds
+    the digits of a over that basis.
+    """
+    size = plus.shape[0]
+    coords: dict[int, tuple[int, ...]] = {zero: ()}
+    for a in range(size):
+        if a in coords:
+            continue
+        snapshot = list(coords.items())
+        coords = {}
+        for elem, vec in snapshot:
+            coords[elem] = vec + (0,)
+            x = elem
+            for j in range(1, p):
+                x = int(plus[x, a])
+                coords[x] = vec + (j,)
+    dim = len(coords[zero])
+    if len(coords) != size or p**dim != size:
+        raise ValueError("designated addition does not span the carrier")
+    out = np.zeros((size, dim), dtype=np.int64)
+    for elem, vec in coords.items():
+        out[elem] = vec
+    if not np.array_equal(out[plus], (out[:, None] + out[None, :]) % p):
+        raise ValueError(f"designated addition is not an elementary abelian {p}-group")
+    return out
+
+
+class PrimeSpan:
+    """Incremental semi-echelon form over GF(p).
+
+    Each stored row is reduced against the rows before it and scaled to a
+    leading 1 at its pivot, so reducing a vector row by row in insertion
+    order clears every pivot; earlier rows are never back-substituted.
+    """
+
+    def __init__(self, p: int):
+        self.p = p
+        self.rows: list[np.ndarray] = []
+        self.pivots: list[int] = []
+
+    def reduce(self, vec: np.ndarray) -> np.ndarray:
+        v = vec % self.p
+        for row, piv in zip(self.rows, self.pivots):
+            c = int(v[piv])
+            if c:
+                v = (v - c * row) % self.p
+        return v
+
+    def add(self, vec: np.ndarray) -> bool:
+        """Insert the vector; True when it enlarged the span."""
+        v = self.reduce(vec)
+        nz = np.nonzero(v)[0]
+        if not len(nz):
+            return False
+        piv = int(nz[0])
+        self.rows.append((v * pow(int(v[piv]), -1, self.p)) % self.p)
+        self.pivots.append(piv)
+        return True
+
+    def contains(self, vec: np.ndarray) -> bool:
+        return not np.any(self.reduce(vec))
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
 
 
 class FiniteField:
@@ -44,6 +184,7 @@ class FiniteField:
         for a in range(1, order):
             inv[a] = int(np.nonzero(self.mul_table[a] == 1)[0][0])
         self.inv_table = inv
+        self._coords = group_coordinates(self.add_table, 0, characteristic)
         self._hash = hash((order, self.add_table.tobytes(), self.mul_table.tobytes()))
 
     def _verify_axioms(self) -> None:
@@ -114,13 +255,7 @@ class FiniteField:
 
     def coordinates(self, labels: np.ndarray) -> np.ndarray:
         """Base-p digits of labels: the prime-subfield coordinates."""
-        arr = np.asarray(labels, dtype=np.int64)
-        out = np.empty(arr.shape + (self.degree,), dtype=np.int64)
-        rest = arr
-        for i in range(self.degree):
-            out[..., i] = rest % self.characteristic
-            rest = rest // self.characteristic
-        return out
+        return self._coords[np.asarray(labels, dtype=np.int64)]
 
     def power_array(self, arr: np.ndarray, e: int) -> np.ndarray:
         out = np.ones_like(arr)
@@ -194,7 +329,7 @@ def finite_field(order: int) -> FiniteField:
     """GF(order) for a prime order or one of the orders 4, 8, 9."""
     if order in _CACHE:
         return _CACHE[order]
-    if _is_prime(order):
+    if is_prime(order):
         add, mul = _prime_tables(order)
         fld = FiniteField(order, order, add, mul)
     elif order in _REDUCTIONS:

@@ -6,8 +6,9 @@ zero element o is fixed, d induces near-group operations
     x + y := d(x, o, y)      x - y := d(x, y, o)      -y := d(o, y, o)
 
 which behave like an abelian group up to commutator congruences.  This
-module finds a witness term for d by breadth-first closure search and
-checks the nine local-group laws that the rest of the package relies on.
+module finds a witness term for d by breadth-first closure search,
+checks the nine local-group laws that the rest of the package relies on,
+and uses a witness to test centrality of a congruence relationally.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import CapExceeded, FiniteAlgebra, FiniteFunction, Operation, Term
+from .algebra import CapExceeded, FiniteAlgebra, FiniteFunction, Operation, Term, term_table
 from .clones import term_functions
-from .congruence import Congruence, commutator
+from .congruence import Congruence, commutator, relation_preservation_witness
 
 
 @dataclass(frozen=True)
@@ -31,6 +32,17 @@ class MalcevWitness:
 
     def grid(self) -> np.ndarray:
         return self.function.as_grid()
+
+
+def _malcev_cells(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of the 2|A|^2 cells (x,y,y) and (x,x,y) of a ternary
+    table, and the values d(x,y,y) = x and d(x,x,y) = y wanted there."""
+    xs = np.arange(size, dtype=np.int64)
+    x = np.repeat(xs, size)
+    y = np.tile(xs, size)
+    # row layout is x*size^2 + y*size + z, leftmost argument most significant
+    cells = np.concatenate([x * size * size + y * size + y, x * size * size + x * size + y])
+    return cells, np.concatenate([x, y]).astype(np.uint8)
 
 
 def find_malcev_term(
@@ -49,13 +61,7 @@ def find_malcev_term(
     of returning None.
     """
     size = algebra.size
-    xs = np.arange(size, dtype=np.int64)
-    x = np.repeat(xs, size)
-    y = np.tile(xs, size)
-    # row layout is x*size^2 + y*size + z, leftmost argument most significant;
-    # d(x,y,y) = x and d(x,x,y) = y are checked on these 2|A|^2 cells
-    cells = np.concatenate([x * size * size + y * size + y, x * size * size + x * size + y])
-    wanted = np.concatenate([x, y]).astype(np.uint8)
+    cells, wanted = _malcev_cells(size)
 
     def is_malcev(row: np.ndarray) -> bool:
         return np.array_equal(row[cells], wanted)
@@ -73,6 +79,50 @@ def find_malcev_term(
     last = len(closure) - 1
     func = FiniteFunction(3, size, closure.tables[last].tobytes())
     return MalcevWitness(term=closure.term_for(last), function=func, verified=True)
+
+
+def malcev_grid(algebra: FiniteAlgebra, term: Term) -> np.ndarray:
+    """The (size, size, size) int64 table of a ternary term; ValueError
+    unless it satisfies both Mal'cev identities on this algebra."""
+    func = term_table(algebra, term, 3)
+    cells, wanted = _malcev_cells(algebra.size)
+    if not np.array_equal(func.as_array()[cells], wanted):
+        raise ValueError("term does not satisfy the Mal'cev identities")
+    return func.as_grid().astype(np.int64)
+
+
+def centrality_check(algebra: FiniteAlgebra, zeta: Congruence, d: Term) -> bool:
+    """Whether zeta is central, tested relationally.
+
+    Builds the 4-ary relation of pairs (a1,a2) in zeta extended by any
+    a3 and the value d(a1,a2,a3), and checks that every fundamental
+    operation preserves it.  Equivalent to the commutator of zeta with
+    the full congruence being trivial.
+    """
+    grid = malcev_grid(algebra, d)
+    s = algebra.size
+    rows = []
+    for a1 in range(s):
+        for a2 in range(s):
+            if not zeta.related(a1, a2):
+                continue
+            for a3 in range(s):
+                rows.append((a1, a2, a3, int(grid[a1, a2, a3])))
+    tuples = np.array(rows, dtype=np.int64)
+    zb = np.array(zeta.block_of, dtype=np.int64)
+    dflat = grid.reshape(-1)
+
+    def member(cand: np.ndarray) -> np.ndarray:
+        lookup = dflat[(cand[:, 0] * s + cand[:, 1]) * s + cand[:, 2]]
+        return (zb[cand[:, 0]] == zb[cand[:, 1]]) & (lookup == cand[:, 3])
+
+    for op in algebra.operations:
+        bad = relation_preservation_witness(
+            algebra.op_array(op.name), op.arity, s, tuples, member
+        )
+        if bad is not None:
+            return False
+    return True
 
 
 def plus_minus_o(

@@ -24,11 +24,12 @@ import itertools
 import re
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .algebra import CapExceeded, FiniteFunction
-from .fields import FiniteField
+from .fields import FiniteField, PrimeSpan
 
 DEFAULT_POLY_CAP = 1 << 20
 
@@ -538,6 +539,7 @@ def induced_function(p: FieldPolynomial, arity: int) -> FiniteFunction:
     return FiniteFunction(arity, q, values.astype(np.uint8).tobytes())
 
 
+@lru_cache(maxsize=16)
 def _vandermonde_inverse(fld: FiniteField) -> np.ndarray:
     q = fld.order
     a = np.zeros((q, 2 * q), dtype=np.int64)
@@ -558,23 +560,16 @@ def _vandermonde_inverse(fld: FiniteField) -> np.ndarray:
     return a[:, q:]
 
 
-_VINV_CACHE: dict[FiniteField, np.ndarray] = {}
-
-
-def interpolate(func: FiniteFunction, fld: FiniteField, reduce: bool = False) -> FieldPolynomial:
+def interpolate(func: FiniteFunction, fld: FiniteField) -> FieldPolynomial:
     """The unique polynomial with per-variable degree below the field order
-    that induces func.  The function's carrier size must equal the order.
-    With reduce set, exponents are additionally folded by x^q = x, which is
-    a no-op here since interpolants already keep per-variable degree < q."""
+    that induces func.  The function's carrier size must equal the order."""
     if func.size != fld.order:
         raise ValueError(
             f"function over a {func.size}-element set cannot be interpolated over GF({fld.order})"
         )
     q = fld.order
     m = func.arity
-    if fld not in _VINV_CACHE:
-        _VINV_CACHE[fld] = _vandermonde_inverse(fld)
-    w = _VINV_CACHE[fld]
+    w = _vandermonde_inverse(fld)
     coeffs = func.as_array().astype(np.int64).reshape((q,) * m) if m else func.as_array().astype(np.int64)
     for axis in range(m):
         moved = np.moveaxis(coeffs, axis, 0)
@@ -593,8 +588,7 @@ def interpolate(func: FiniteFunction, fld: FiniteField, reduce: bool = False) ->
         c = int(coeffs[exps]) if m else int(coeffs)
         if c:
             pairs.append((Monomial.make({i + 1: e for i, e in enumerate(exps) if e}), c))
-    out = FieldPolynomial.make(fld, pairs)
-    return reduce_exponents(out) if reduce else out
+    return FieldPolynomial.make(fld, pairs)
 
 
 def reduce_exponents(p: FieldPolynomial) -> FieldPolynomial:
@@ -630,47 +624,6 @@ def top_homovariate_of_absorbing(p: FieldPolynomial, arity: int) -> FieldPolynom
 
 
 # -- functional comparison of generated clones ----------------------------
-
-
-class PrimeSpan:
-    """Incremental echelon form over GF(p) for vectors of base-p digits."""
-
-    def __init__(self, p: int):
-        self.p = p
-        self.rows: list[np.ndarray] = []
-        self.pivots: list[int] = []
-
-    def reduce(self, vec: np.ndarray) -> np.ndarray:
-        v = vec % self.p
-        for row, piv in zip(self.rows, self.pivots):
-            c = int(v[piv])
-            if c:
-                v = (v - c * row) % self.p
-        return v
-
-    def add(self, vec: np.ndarray) -> bool:
-        """Insert the vector; True when it enlarged the span."""
-        v = self.reduce(vec)
-        nz = np.nonzero(v)[0]
-        if not len(nz):
-            return False
-        piv = int(nz[0])
-        v = (v * pow(int(v[piv]), -1, self.p)) % self.p
-        for row in self.rows:
-            c = int(row[piv])
-            if c:
-                row -= c * v
-                row %= self.p
-        self.rows.append(v)
-        self.pivots.append(piv)
-        return True
-
-    def contains(self, vec: np.ndarray) -> bool:
-        return not np.any(self.reduce(vec))
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
 
 
 @dataclass

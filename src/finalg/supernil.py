@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,9 +32,9 @@ from .algebra import (
     term_table,
     unflatten_index,
 )
-from .clones import DEFAULT_CAP, _abelian_group_info, free_spectrum, polynomial_functions, term_functions
+from .clones import DEFAULT_CAP, free_spectrum, polynomial_functions, term_functions
 from .congruence import congruence_lattice, lattice_height, lower_central_series, nilpotency_class
-from .fields import finite_field
+from .fields import abelian_group_info, finite_field, group_coordinates, is_prime
 from .polyclone import (
     FieldPolynomial,
     homovariate_parts,
@@ -92,18 +93,13 @@ def log_height_bound(order: int, max_arity: int) -> tuple[float, int]:
     return real, math.ceil(real - 1e-9)
 
 
-_MASK_CACHE: dict[tuple[int, int, int], np.ndarray] = {}
-
-
+@lru_cache(maxsize=32)
 def _zero_touching_mask(arity: int, size: int, zero: int) -> np.ndarray:
-    key = (arity, size, zero)
-    if key not in _MASK_CACHE:
-        idx = np.arange(size**arity, dtype=np.int64)
-        mask = np.zeros(size**arity, dtype=bool)
-        for pos in range(arity):
-            mask |= (idx // size ** (arity - 1 - pos)) % size == zero
-        _MASK_CACHE[key] = mask
-    return _MASK_CACHE[key]
+    idx = np.arange(size**arity, dtype=np.int64)
+    mask = np.zeros(size**arity, dtype=bool)
+    for pos in range(arity):
+        mask |= (idx // size ** (arity - 1 - pos)) % size == zero
+    return mask
 
 
 def is_absorbing(f: FiniteFunction, zero: int) -> bool:
@@ -533,45 +529,17 @@ def _detect_prime_plus(
         if op.arity != 2:
             continue
         tab = np.array(op.table, dtype=np.int64).reshape(algebra.size, algebra.size)
-        info = _abelian_group_info(tab.astype(np.uint8))
+        info = abelian_group_info(tab)
         if info is None:
             continue
         ident, neg, exponent = info
-        if ident != zero:
-            continue
-        if exponent < 2 or any(exponent % d == 0 for d in range(2, exponent)):
+        if ident != zero or not is_prime(exponent):
             continue
         return op.name, tab, np.asarray(neg, dtype=np.int64), exponent
     raise ValueError(
         "no binary operation forms an abelian group of prime exponent "
         f"with identity {zero}"
     )
-
-
-def _group_coordinates(plus: np.ndarray, zero: int, p: int) -> np.ndarray:
-    """Label each element by base-p digits over a greedy additive basis."""
-    size = plus.shape[0]
-    coords: dict[int, tuple[int, ...]] = {zero: ()}
-    for a in range(size):
-        if a in coords:
-            continue
-        snapshot = list(coords.items())
-        multiples = [a]
-        for _ in range(p - 2):
-            multiples.append(int(plus[multiples[-1], a]))
-        coords = {}
-        for elem, vec in snapshot:
-            coords[elem] = vec + (0,)
-            for j, mult in enumerate(multiples, start=1):
-                coords[int(plus[mult, elem])] = vec + (j,)
-    degree = len(next(iter(coords.values())))
-    if len(coords) != size or p**degree != size:
-        raise ValueError("designated addition does not span the carrier")
-    out = np.zeros((size, max(degree, 1)), dtype=np.int64)
-    for elem, vec in coords.items():
-        for i, d in enumerate(vec):
-            out[elem, i] = d
-    return out[:, :degree] if degree else out[:, :0]
 
 
 def _relabel_table(table: np.ndarray, arity: int, size: int, phi: np.ndarray) -> np.ndarray:
@@ -645,7 +613,7 @@ def absorbing_arity_check(
         fld = None
         notes.append(f"no supported field of order {size}; ideal checks skipped")
     if fld is not None and extras:
-        coords = _group_coordinates(plus_tab, zero, p)
+        coords = group_coordinates(plus_tab, zero, p)
         weights = p ** np.arange(coords.shape[1], dtype=np.int64)
         phi = coords @ weights
         relabeled_plus = _relabel_table(plus_tab, 2, size, phi)

@@ -240,3 +240,42 @@ def tc_commutator_blocks(
         if block_of[x] == block_of[y]
     }
     return block_of, pairs
+
+
+def abelian_group_axioms(table: list[list[int]]) -> tuple[int, tuple[int, ...], int] | None:
+    """(identity, inverses, exponent) when the Cayley table satisfies every
+    abelian group axiom, checked entry by entry; None otherwise."""
+    n = len(table)
+    elems = range(n)
+    if any(table[a][b] != table[b][a] for a in elems for b in elems):
+        return None
+    if any(
+        table[table[a][b]][c] != table[a][table[b][c]] for a in elems for b in elems for c in elems
+    ):
+        return None
+    idents = [e for e in elems if all(table[e][a] == a for a in elems)]
+    if not idents:
+        return None
+    e = idents[0]
+    inverses = []
+    for a in elems:
+        inv = [b for b in elems if table[a][b] == e]
+        if not inv:
+            return None
+        inverses.append(inv[0])
+    exponent = 1
+    while True:
+        multiples = list(elems)
+        for _ in range(exponent - 1):
+            multiples = [table[m][a] for m, a in zip(multiples, elems)]
+        if all(m == e for m in multiples):
+            return e, tuple(inverses), exponent
+        exponent += 1
+
+
+def span_by_enumeration(vectors: list[tuple[int, ...]], p: int, dim: int) -> set[tuple[int, ...]]:
+    """Every F_p-linear combination of the vectors, listed exhaustively."""
+    span = {(0,) * dim}
+    for v in vectors:
+        span = {tuple((b + c * x) % p for b, x in zip(base, v)) for base in span for c in range(p)}
+    return span

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from finalg.algebra import CapExceeded, FiniteAlgebra, FiniteFunction, Operation, Var, term_table
 from finalg.catalog import example_names, load_example
-from finalg.clones import DEFAULT_CAP, _abelian_group_info, term_functions
+from finalg.clones import DEFAULT_CAP, term_functions
 from finalg.congruence import commutator, congruence_lattice, zero_congruence, one_congruence
+from finalg.fields import abelian_group_info
 from finalg.malcev import (
     MalcevWitness,
     check_plus_properties,
@@ -242,7 +243,7 @@ def test_zero_block_groups(name):
         block, elements = zero_block_group(algebra, witness, 0, alpha)
         assert elements[block.operation("zero").table[0]] == 0
         table = np.array(block.operation("+").table, dtype=np.uint8)
-        info = _abelian_group_info(table.reshape(block.size, block.size))
+        info = abelian_group_info(table.reshape(block.size, block.size))
         assert info is not None, (name, alpha)
         identity, _neg, exponent = info
         assert identity == block.operation("zero").table[0]
