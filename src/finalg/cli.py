@@ -27,7 +27,7 @@ from .algebra import AlgebraFormatError, CapExceeded, FiniteAlgebra, parse_algeb
 from .clones import DEFAULT_CAP
 from .congruence import (
     congruence_lattice,
-    is_congruence_uniform,
+    has_uniform_blocks,
     lattice_height,
     nilpotency_class,
 )
@@ -208,7 +208,7 @@ def _cmd_analyze(args, started) -> int:
         "congruences": len(lattice),
         "height": lattice_height(lattice),
         "nilpotency_class": klass if klass is not None else "not nilpotent",
-        "congruence_uniform": is_congruence_uniform(algebra),
+        "congruence_uniform": all(has_uniform_blocks(c) for c in lattice),
     }
     code = EXIT_OK
     try:

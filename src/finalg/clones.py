@@ -2,10 +2,11 @@
 
 Two closure strategies share one result type:
 
-* an explicit breadth-first closure over composition, deterministic
-  (seed order, then operation order, then operand order) so the first
-  witness of any property is reproducible and terms come out at
-  minimal depth;
+* an explicit breadth-first closure over composition in a fixed order:
+  the seeds, then round by round, operation by operation, the operand
+  tuples that use a row new in the previous round, lexicographically
+  (fresh_boxes enumerates them), so the first witness of any property
+  is reproducible and terms come out at minimal depth;
 
 * a span strategy for algebras all of whose operations are multilinear
   over a designated abelian group operation (detected by table checks).
@@ -20,6 +21,7 @@ Two closure strategies share one result type:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -192,7 +194,19 @@ def _seed_rows(
     if with_constants:
         for v in range(size):
             seeds.append((np.full(wid, v, dtype=np.uint8), ("const", v)))
+    for op in algebra.operations:
+        if op.arity == 0:
+            seeds.append((np.full(wid, op.table[0], dtype=np.uint8), ("nullary", op.name)))
     return seeds
+
+
+def _composing_ops(algebra: FiniteAlgebra, skip: str | None = None) -> list[tuple]:
+    """(name, arity, table) of every operation of positive arity but skip."""
+    return [
+        (op.name, op.arity, algebra.op_array(op.name))
+        for op in algebra.operations
+        if op.arity >= 1 and op.name != skip
+    ]
 
 
 def _empty_result(algebra: FiniteAlgebra, arity: int, strategy: str) -> ClosureResult:
@@ -200,6 +214,35 @@ def _empty_result(algebra: FiniteAlgebra, arity: int, strategy: str) -> ClosureR
     return ClosureResult(
         algebra, arity, strategy, np.empty((0, wid), dtype=np.uint8), {}, [], False, 0
     )
+
+
+def fresh_boxes(lo: int, hi: int, n: int) -> Iterator[tuple[tuple, bool]]:
+    """Cover range(hi)**n by boxes, tuples of (start, stop) ranges, listed
+    so that their tuples come in lexicographic order.
+
+    A box is flagged old when every entry of its tuples is below lo.  First
+    entries below lo are fixed one box at a time, a first entry >= lo starts
+    one box free in the rest, and n = 1 gives [0, lo) and [lo, hi).  Empty
+    boxes are left out; n = 0 gives the one old box ().
+    """
+    if n == 0:
+        yield (), True
+        return
+    if n > 1:
+        for a in range(lo):
+            for rest, old in fresh_boxes(lo, hi, n - 1):
+                yield ((a, a + 1),) + rest, old
+    elif lo:
+        yield ((0, lo),), True
+    if lo < hi:
+        yield ((lo, hi),) + ((0, hi),) * (n - 1), False
+
+
+def fresh_tuples(lo: int, hi: int, n: int) -> Iterator[tuple[int, ...]]:
+    """The tuples of range(hi)**n with an entry >= lo, in lexicographic order."""
+    for box, old in fresh_boxes(lo, hi, n):
+        if not old:
+            yield from itertools.product(*(range(a, b) for a, b in box))
 
 
 def _explicit_closure(
@@ -267,18 +310,11 @@ def _explicit_closure(
 
     for row, recipe in seeds:
         add(row, recipe)
-    for op in algebra.operations:
-        if op.arity == 0:
-            add(np.full(wid, op.table[0], dtype=np.uint8), ("nullary", op.name))
 
     if not rows:
         return _empty_result(algebra, arity, "bfs")
 
-    ops = [
-        (op.name, op.arity, algebra.op_array(op.name))
-        for op in algebra.operations
-        if op.arity >= 1
-    ]
+    ops = _composing_ops(algebra)
     round_lo = 0
     depth = 0
     while round_lo < len(rows) and not stop:
@@ -289,49 +325,34 @@ def _explicit_closure(
         hi = len(rows)
         stack = np.stack(rows[:hi])
         for name, k, tab in ops:
-            if stop:
-                break
-            if k == 1:
-                batch = tab[stack[round_lo:hi]]
-                for off in new_offsets(batch):
-                    add(batch[off], ("op", name, (round_lo + int(off),)))
+            # smallest unsigned type holding a flat index into tab
+            dtype = np.min_scalar_type(size**k - 1)
+            # an old operand prefix meets the new last operands, any other all
+            for box, old in fresh_boxes(round_lo, hi, k - 1):
+                if stop:
+                    break
+                llo = round_lo if old else 0
+                lasts = stack[llo:hi]
+                width = hi - llo
+                n_pre = math.prod(b - a for a, b in box)
+                block = max(1, 4_000_000 // (width * wid))
+                for b0 in range(0, n_pre, block):
                     if stop:
                         break
-            elif k == 2:
-                # old prefixes meet new last operands; new prefixes meet all
-                for plo, phi, llo in ((0, round_lo, round_lo), (round_lo, hi, 0)):
-                    if stop or plo >= phi or llo >= hi:
-                        continue
-                    lasts = stack[llo:hi]
-                    width = hi - llo
-                    block = max(1, 4_000_000 // (width * wid))
-                    for b0 in range(plo, phi, block):
-                        if stop:
-                            break
-                        b1 = min(b0 + block, phi)
-                        # size <= 255 keeps pre*size + last below 2**16
-                        pre = stack[b0:b1, None, :].astype(np.uint16) * size
-                        batch = tab[(pre + lasts[None, :, :]).reshape(-1, wid)]
-                        for off in new_offsets(batch):
-                            off = int(off)
-                            recipe = ("op", name, (b0 + off // width, llo + off % width))
-                            add(batch[off], recipe)
-                            if stop:
-                                break
-            else:
-                for prefix in itertools.product(range(hi), repeat=k - 1):
-                    if stop:
-                        break
-                    pref_idx = rows[prefix[0]].astype(np.int64)
-                    for j in prefix[1:]:
-                        pref_idx = pref_idx * size + rows[j]
-                    if any(p >= round_lo for p in prefix):
-                        lo_last = 0
-                    else:
-                        lo_last = round_lo
-                    batch = tab[pref_idx[None, :] * size + stack[lo_last:hi]]
+                    # operand ids of a block of prefixes, in lexicographic order
+                    flat = np.arange(b0, min(b0 + block, n_pre))
+                    prefix = []
+                    for a, b in reversed(box):
+                        flat, q = np.divmod(flat, b - a)
+                        prefix.insert(0, a + q)
+                    pre = np.zeros((len(flat), wid), dtype=dtype)
+                    for ids in prefix:
+                        pre = pre * size + stack[ids]
+                    batch = tab[(pre[:, None, :] * size + lasts[None, :, :]).reshape(-1, wid)]
                     for off in new_offsets(batch):
-                        add(batch[off], ("op", name, prefix + (lo_last + int(off),)))
+                        q, r = divmod(int(off), width)
+                        args = tuple(int(ids[q]) for ids in prefix) + (llo + r,)
+                        add(batch[off], ("op", name, args))
                         if stop:
                             break
         round_lo = hi
@@ -381,23 +402,15 @@ def _span_closure_prime(
 
     for row, recipe in seeds:
         register(row, recipe)
-    for op in algebra.operations:
-        if op.arity == 0:
-            register(np.full(wid, op.table[0], dtype=np.uint8), ("nullary", op.name))
 
-    ops = [
-        (op.name, op.arity, algebra.op_array(op.name))
-        for op in algebra.operations
-        if op.arity >= 1 and op.name != span.plus_name
-    ]
+    ops = _composing_ops(algebra, span.plus_name)
     while new_gens:
-        frontier = set(new_gens)
+        # the generators new last round are the tail of gens
+        lo, hi = len(gens) - len(new_gens), len(gens)
         new_gens = []
-        known = list(gens)
         for name, k, tab in ops:
-            for combo in itertools.product(known, repeat=k):
-                if not any(g in frontier for g in combo):
-                    continue
+            for pos in fresh_tuples(lo, hi, k):
+                combo = tuple(gens[i] for i in pos)
                 idx = core_rows[combo[0]].astype(np.int64)
                 for g in combo[1:]:
                     idx = idx * size + core_rows[g]
@@ -483,9 +496,6 @@ def _span_closure_general(
         recipes.append(recipe)
         return fid
 
-    def in_span(row: np.ndarray) -> bool:
-        return row.tobytes() in members
-
     gen_rows: list[np.ndarray] = []
 
     def extend(row: np.ndarray, fid: int) -> None:
@@ -515,26 +525,18 @@ def _span_closure_general(
     def note(row: np.ndarray, recipe: Recipe) -> None:
         if capped:
             return
-        if in_span(row):
+        if row.tobytes() in members:
             register(row, recipe)
         else:
             extend(row, register(row, recipe))
 
-    gens_pending: list[tuple[np.ndarray, Recipe]] = list(seeds)
-    for op in algebra.operations:
-        if op.arity == 0:
-            gens_pending.append((np.full(wid, op.table[0], dtype=np.uint8), ("nullary", op.name)))
-    for row, recipe in gens_pending:
+    for row, recipe in seeds:
         note(row, recipe)
 
     if not rows:
         return _empty_result(algebra, arity, "span")
 
-    ops = [
-        (op.name, op.arity, algebra.op_array(op.name))
-        for op in algebra.operations
-        if op.arity >= 1 and op.name != span.plus_name
-    ]
+    ops = _composing_ops(algebra, span.plus_name)
     done = 0
     while done < len(gen_rows) and not capped:
         known = len(gen_rows)
@@ -542,9 +544,7 @@ def _span_closure_general(
         for name, k, tab in ops:
             if capped:
                 break
-            for combo in itertools.product(range(known), repeat=k):
-                if all(c < done for c in combo):
-                    continue
+            for combo in fresh_tuples(done, known, k):
                 idx = rows[gen_ids[combo[0]]].astype(np.int64)
                 for c in combo[1:]:
                     idx = idx * size + rows[gen_ids[c]]

@@ -319,11 +319,6 @@ def has_uniform_blocks(cong: Congruence) -> bool:
     return len(sizes) <= 1
 
 
-def is_congruence_uniform(algebra: FiniteAlgebra) -> bool:
-    """Whether every congruence of the algebra has blocks of equal size."""
-    return all(has_uniform_blocks(c) for c in congruence_lattice(algebra))
-
-
 def maximal_congruence_chain(algebra: FiniteAlgebra) -> list[Congruence]:
     """An unrefinable chain from the identity to the full congruence.
 

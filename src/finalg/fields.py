@@ -268,7 +268,7 @@ class FiniteField:
         return out
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return self is other or (
             isinstance(other, FiniteField)
             and self.order == other.order
             and np.array_equal(self.add_table, other.add_table)

@@ -5,7 +5,9 @@ polynomials from additive data: substitution products of polynomial
 sets, prime-subfield additive spans inside a fixed variable window,
 splitting a polynomial into its homovariate components (the maximal
 pieces whose monomials all mention exactly the same variables), bounded
-closure under substitution, and the derived generator construction that
+closure under substitution (layer by layer, generator by generator, the
+substitutions that use a polynomial new in the previous layer, in the
+bfs order of finalg.clones), and the derived generator construction that
 replaces a generating set F by homovariate generators H whose sums of
 compositions induce the same finitary functions as the closure of F
 together with x+y, -x and 0.
@@ -29,6 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import CapExceeded, FiniteFunction
+from .clones import fresh_tuples, term_functions
 from .fields import FiniteField, PrimeSpan
 
 DEFAULT_POLY_CAP = 1 << 20
@@ -453,24 +456,22 @@ def substitution_closure(
         depths[FieldPolynomial.variable(fld, i)] = 0
     if not generators.elements:
         return PolyClosure(PolySet(fld, frozenset(depths), "clop"), depths, False, window)
-    frontier = set(depths)
     capped = False
     depth = 0
-    while frontier:
+    lo = 0  # depths lists the polynomials of the last layer from lo on
+    while lo < len(depths):
         depth += 1
         if depth_cap is not None and depth > depth_cap:
             capped = True
             break
         known = list(depths)
-        frontier_set = frontier
         fresh: dict[FieldPolynomial, int] = {}
         hit_size_cap = False
         for g in generators.sorted():
             supp = g.support
-            for choice in itertools.product(known, repeat=len(supp)):
-                if supp and not any(c in frontier_set for c in choice):
-                    continue
-                result = g.substitute(dict(zip(supp, choice)))
+            # a generator without variables is substituted in every layer
+            for pos in fresh_tuples(lo, len(known), len(supp)) if supp else [()]:
+                result = g.substitute({v: known[i] for v, i in zip(supp, pos)})
                 if result in depths or result in fresh:
                     continue
                 if len(depths) + len(fresh) >= size_cap:
@@ -479,8 +480,8 @@ def substitution_closure(
                 fresh[result] = depth
             if hit_size_cap:
                 break
+        lo = len(depths)
         depths.update(fresh)
-        frontier = set(fresh)
         if hit_size_cap:
             capped = True
             break
@@ -496,8 +497,14 @@ def homovariate_generators(
     splits into homovariate components.  Requires every generator degree to
     fit in the window; the output then keeps the same degree bound.
     """
+    return _span_and_generators(f, window, span_cap)[1]
+
+
+def _span_and_generators(f: PolySet, window: int, span_cap: int) -> tuple[PolySet, PolySet]:
+    """The additive span of the linear substitutions of f into the window,
+    and the homovariate generators split from it."""
     if not f.elements:
-        return PolySet(f.field, frozenset(), "H")
+        return additive_span(f, window), PolySet(f.field, frozenset(), "H")
     for g in f.sorted():
         if g.total_degree > window:
             raise ValueError(
@@ -508,7 +515,7 @@ def homovariate_generators(
     for h in out.sorted():
         if h.total_degree > window:
             raise RuntimeError("homovariate generator escaped the degree bound")
-    return out.retagged("H")
+    return spanned, out.retagged("H")
 
 
 # -- induced functions ---------------------------------------------------
@@ -695,13 +702,10 @@ def verify_homovariate_split(
     member of H reduces to 0 against the right echelon, so rank equality
     certifies set equality even when closures were cut off early.
     """
-    from .clones import term_functions
-
     fld = f.field
     if window is None:
         window = max(1, max((p.total_degree for p in f.sorted()), default=1))
-    h = homovariate_generators(f, window)
-    spanned = additive_span(linear_substitutions(f, window), window)
+    spanned, h = _span_and_generators(f, window, DEFAULT_POLY_CAP)
     membership_ok = all(p in spanned for p in h.sorted())
 
     alg_f = _ops_from_polys(fld, f.sorted(), with_group=True)

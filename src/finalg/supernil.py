@@ -116,10 +116,6 @@ class AbsorbingEntry:
     essential_arity: int
     term: Term | None
 
-    @property
-    def is_zero_function(self) -> bool:
-        return not any(v != 0 for v in self.function.values)
-
 
 @dataclass
 class AbsorbingSurvey:
@@ -577,9 +573,10 @@ def absorbing_arity_check(
     """
     notes: list[str] = []
     plus_name, plus_tab, neg_tab, p = _detect_prime_plus(algebra, zero, plus_op)
-    k = nilpotency_class(algebra)
-    if k is None:
+    series = lower_central_series(algebra)
+    if not series[-1].is_zero:
         raise ValueError("algebra is not nilpotent; the arity bound needs a class")
+    k = len(series) - 1
     size = algebra.size
 
     extras = []
@@ -603,7 +600,6 @@ def absorbing_arity_check(
     observed = max((s.max_essential_arity for s in surveys), default=0)
     partial = any(s.partial for s in surveys)
 
-    series = lower_central_series(algebra)
     ideals = [set(series[level].block_containing(zero)) for level in range(len(series))]
 
     ideal_checks: list[IdealLevelCheck] = []

@@ -4,8 +4,9 @@ Everything here works on plain Python tuples and recomputes from first
 principles: clone closure by naive fixpoint iteration, congruences by
 checking the definition against every operation, commutators via the
 term-condition matrices.  Nothing imports the modules under test except
-for the shared table containers, and the full breadth-first closure that
-the Mal'cev reference scans.
+for the shared table containers, the polynomial arithmetic that the
+substitution-order reference applies, and the full breadth-first closure
+that the Mal'cev reference scans.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import itertools
 
 from finalg.algebra import CapExceeded, FiniteAlgebra, unflatten_index
 from finalg.clones import term_functions
+from finalg.polyclone import FieldPolynomial, PolySet
 
 
 def naive_closure(
@@ -54,6 +56,121 @@ def naive_closure(
                 add(out)
         changed = len(found) > before
     return set(found)
+
+
+def bfs_closure_order(
+    algebra: FiniteAlgebra,
+    arity: int,
+    with_constants: bool,
+    cap: int = 1 << 20,
+    depth_cap: int | None = None,
+    until=None,
+) -> tuple[list[tuple[int, ...]], list[tuple], str | None]:
+    """Breadth-first closure in the order the bfs strategy promises.
+
+    Rows start with the variables, then the constants (when asked for), then
+    the nullary operations.  Each round goes through the operations in
+    order and, for each, through every operand tuple over the rows known at
+    the start of the round that uses a row of the previous round, in
+    lexicographic order.  A new row is refused once there are cap rows, and
+    the search stops after the first row satisfying until (a predicate on a
+    tuple of values).  Returns the rows, their recipes, and why the search
+    ended early: "cap" (row or depth cap), "until", or None at fixpoint.
+    """
+    size = algebra.size
+    wid = size**arity
+    rows: list[tuple[int, ...]] = []
+    recipes: list[tuple] = []
+    seen: set[tuple[int, ...]] = set()
+    stop = None
+
+    def add(row: tuple[int, ...], recipe: tuple) -> None:
+        nonlocal stop
+        if stop or row in seen:
+            return
+        if len(rows) >= cap:
+            stop = "cap"
+            return
+        seen.add(row)
+        rows.append(row)
+        recipes.append(recipe)
+        if until is not None and until(row):
+            stop = "until"
+
+    cells = [unflatten_index(c, size, arity) for c in range(wid)]
+    for i in range(arity):
+        add(tuple(cell[i] for cell in cells), ("var", i))
+    if with_constants:
+        for v in range(size):
+            add((v,) * wid, ("const", v))
+    for op in algebra.operations:
+        if op.arity == 0:
+            add((op.table[0],) * wid, ("nullary", op.name))
+    lo = depth = 0
+    while lo < len(rows) and not stop:
+        if depth_cap is not None and depth >= depth_cap:
+            stop = "cap"
+            break
+        depth += 1
+        hi = len(rows)
+        for op in algebra.operations:
+            if op.arity == 0:
+                continue
+            for combo in itertools.product(range(hi), repeat=op.arity):
+                if stop:
+                    break
+                if max(combo) < lo:
+                    continue
+                out = []
+                for cell in range(wid):
+                    idx = 0
+                    for j in combo:
+                        idx = idx * size + rows[j][cell]
+                    out.append(op.table[idx])
+                add(tuple(out), ("op", op.name, combo))
+        lo = hi
+    return rows, recipes, stop
+
+
+def substitution_order(
+    generators: PolySet, window: int, depth_cap: int | None, size_cap: int
+) -> tuple[list[tuple[FieldPolynomial, int]], bool]:
+    """Substitution closure one choice at a time, in the promised order.
+
+    Layer 0 is x1..x_window.  Each layer goes through the generators in
+    sorted order and, for each, through every choice of known polynomials
+    for its variables, in lexicographic order of their first appearance,
+    that uses a polynomial of the previous layer; a generator without
+    variables is substituted in every layer.  Returns (polynomial, depth)
+    pairs in order of first appearance and whether a cap cut the closure.
+    """
+    fld = generators.field
+    found = [(FieldPolynomial.variable(fld, i), 0) for i in range(1, window + 1)]
+    seen = {p for p, _ in found}
+    if not generators.elements:
+        return found, False
+    lo = 0
+    depth = 0
+    while lo < len(found):
+        depth += 1
+        if depth_cap is not None and depth > depth_cap:
+            return found, True
+        known = [p for p, _ in found]
+        hi = len(known)
+        for g in generators.sorted():
+            supp = g.support
+            for choice in itertools.product(range(hi), repeat=len(supp)):
+                if supp and max(choice) < lo:
+                    continue
+                result = g.substitute({v: known[i] for v, i in zip(supp, choice)})
+                if result in seen:
+                    continue
+                if len(found) >= size_cap:
+                    return found, True
+                seen.add(result)
+                found.append((result, depth))
+        lo = hi
+    return found, False
 
 
 def malcev_by_full_closure(

@@ -9,7 +9,6 @@ from finalg.algebra import (
     App,
     Const,
     FiniteAlgebra,
-    FiniteFunction,
     Operation,
     Var,
     constant_function,

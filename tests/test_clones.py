@@ -1,18 +1,22 @@
+import itertools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from finalg.algebra import parse_algebra, term_table
-from finalg.catalog import load_example
+from finalg.algebra import FiniteAlgebra, Operation, term_table
+from finalg.catalog import example_names, load_example
 from finalg.clones import (
     additive_structure,
     free_spectrum,
+    fresh_boxes,
     polynomial_functions,
     term_functions,
 )
 
-from oracles import naive_closure
+from oracles import bfs_closure_order, naive_closure
 
 
 def closure_tables(result) -> set[tuple[int, ...]]:
@@ -172,3 +176,85 @@ def test_nullary_only_closure():
     assert closure_tables(c0) == {(0,)}
     sl = load_example("semilattice2")
     assert len(term_functions(sl, 0)) == 0
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+@pytest.mark.parametrize("lo, hi", [(0, 0), (0, 3), (2, 2), (1, 4), (3, 5)])
+def test_fresh_boxes_cover_every_tuple_in_lexicographic_order(lo, hi, n):
+    tuples, flags = [], []
+    for box, old in fresh_boxes(lo, hi, n):
+        assert len(box) == n and all(a < b for a, b in box)
+        inside = list(itertools.product(*(range(a, b) for a, b in box)))
+        tuples += inside
+        flags += [old] * len(inside)
+    assert tuples == list(itertools.product(range(hi), repeat=n))
+    assert flags == [all(v < lo for v in t) for t in tuples]
+    if n == 1:
+        assert len(list(fresh_boxes(lo, hi, n))) == (lo > 0) + (hi > lo)
+
+
+def assert_matches_bfs_oracle(algebra, arity, constants, cap, depth_cap=None, until=None):
+    close = polynomial_functions if constants else term_functions
+    extra = {"until": until} if until is not None else {}
+    got = close(algebra, arity, cap=cap, strategy="bfs", depth_cap=depth_cap, **extra)
+    rows, recipes, stop = bfs_closure_order(algebra, arity, constants, cap, depth_cap, until)
+    assert [tuple(int(v) for v in row) for row in got.tables] == rows
+    assert got.recipes == recipes
+    assert got.capped == (stop == "cap") and got.stopped == (stop == "until")
+    assert got.exact_count == (None if stop else len(rows))
+
+
+@pytest.mark.parametrize("name", example_names())
+@pytest.mark.parametrize("constants", [False, True])
+def test_bfs_order_matches_oracle_on_fixtures(name, constants):
+    alg = load_example(name)
+    for arity, cap, depth_cap in ((1, 1 << 20, None), (2, 120, None), (2, 1 << 20, 1)):
+        assert_matches_bfs_oracle(alg, arity, constants, cap, depth_cap)
+
+
+@st.composite
+def mixed_algebras(draw):
+    """Algebras of size <= 3 with one to three operations of arity 0 to 3."""
+    size = draw(st.integers(1, 3))
+    ops = []
+    for i, k in enumerate(draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))):
+        table = draw(st.lists(st.integers(0, size - 1), min_size=size**k, max_size=size**k))
+        ops.append(Operation(f"f{i}", k, tuple(table)))
+    return FiniteAlgebra("generated", size, ops)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    mixed_algebras(),
+    st.integers(0, 3),
+    st.booleans(),
+    st.integers(1, 40),
+    st.sampled_from([None, 1, 2]),
+    st.sampled_from([None, 5, 7, 11]),
+)
+def test_bfs_order_matches_oracle_on_generated_algebras(
+    algebra, arity, constants, cap, depth_cap, modulus
+):
+    # keep the plain-python reference fast: at most 9 cells per row
+    while algebra.size**arity > 9:
+        arity -= 1
+    until = None
+    if modulus is not None and not constants:
+        until = lambda row: sum(int(v) * (i + 1) for i, v in enumerate(row)) % modulus == 1
+    assert_matches_bfs_oracle(algebra, arity, constants, cap, depth_cap, until)
+
+
+def test_bfs_order_matches_oracle_on_seeded_ternary_algebras():
+    rng = random.Random(4)
+    for _ in range(20):
+        size = rng.randint(2, 3)
+        ops = [
+            Operation("t", 3, tuple(rng.randrange(size) for _ in range(size**3))),
+            Operation("b", 2, tuple(rng.randrange(size) for _ in range(size**2))),
+        ]
+        if rng.random() < 0.5:
+            ops.append(Operation("c", 0, (rng.randrange(size),)))
+        alg = FiniteAlgebra("seeded", size, ops)
+        for arity in (1, 2):
+            assert_matches_bfs_oracle(alg, arity, False, 50)
+            assert_matches_bfs_oracle(alg, arity, True, 50, depth_cap=2)

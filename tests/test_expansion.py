@@ -12,7 +12,6 @@ from finalg.congruence import (
     zero_congruence,
 )
 from finalg.expansion import (
-    AssociatedGroup,
     ExpandedAlgebra,
     associated_abelian_group,
     expand_pipeline,

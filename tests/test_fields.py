@@ -183,3 +183,22 @@ def test_no_module_imports_a_private_name_from_a_sibling():
                 f"{path.name}: {alias.name}" for alias in node.names if alias.name.startswith("_")
             ]
     assert offenders == []
+
+
+def test_no_module_level_import_goes_unused():
+    package = Path(finalg.__file__).parent
+    # the package __init__ imports only to re-export
+    paths = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted(Path(__file__).parent.glob("*.py"))
+    offenders = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = set()
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        offenders += [f"{path.name}: {name}" for name in sorted(bound - used)]
+    assert offenders == []

@@ -1,10 +1,12 @@
 import itertools
+import json
 import random
 
 import numpy as np
 import pytest
 
 from finalg.algebra import CapExceeded, FiniteFunction, projection
+from finalg.cli import EXIT_CAPPED, main
 from finalg.fields import FiniteField, finite_field
 from finalg.polyclone import (
     FieldPolynomial,
@@ -27,7 +29,7 @@ from finalg.polyclone import (
     verify_homovariate_split,
 )
 
-from oracles import eval_poly_text
+from oracles import eval_poly_text, substitution_order
 
 
 def pset(fld, texts, tag="t"):
@@ -340,6 +342,40 @@ def test_substitution_closure_examples():
 
     tiny = substitution_closure(pset(f2, ["x1*x2"]), 2, size_cap=5)
     assert tiny.capped and len(tiny.polys) <= 5
+
+
+@pytest.mark.parametrize(
+    "q, texts",
+    [
+        (2, ["x1*x2", "1"]),
+        (2, ["x1*x2 + 1"]),
+        (3, ["x1*x2", "x1 + 2*x2", "2"]),
+        (2, ["x1*x2*x3 + x1", "x2 + 1"]),
+    ],
+)
+def test_substitution_closure_order_matches_oracle(q, texts):
+    gens = pset(finite_field(q), texts)
+    for window in (1, 2, 3):
+        for depth_cap in (None, 1, 2, 3):
+            for size_cap in (4, 9, 25):
+                got = substitution_closure(gens, window, depth_cap=depth_cap, size_cap=size_cap)
+                want, capped = substitution_order(gens, window, depth_cap, size_cap)
+                assert list(got.depths.items()) == want, (window, depth_cap, size_cap)
+                assert got.capped == capped
+    # constants come from a generator without variables, so they stay at depth 1
+    close = substitution_closure(pset(finite_field(2), ["1", "x1*x2"]), 2, depth_cap=3)
+    assert close.depth_of(parse_polynomial(finite_field(2), "1")) == 1
+
+
+def test_capped_clop_lists_the_oracle_prefix(capsys):
+    f3 = finite_field(3)
+    code = main(["polyclone", "clop", "--field", "3", "--polys", "x1*x2; 1",
+                 "--window", "2", "--size-cap", "12"])
+    results = json.loads(capsys.readouterr().out)["results"]
+    want, capped = substitution_order(pset(f3, ["x1*x2", "1"]), 2, None, 12)
+    assert code == EXIT_CAPPED and capped and results["capped"]
+    polys = sorted((p for p, _ in want), key=FieldPolynomial.sort_key)
+    assert results["elements"] == [str(p) for p in polys]
 
 
 def test_homovariate_generator_construction():

@@ -1,7 +1,6 @@
 """Bounds, absorbing surveys, term-condition falsification, spectra."""
 import itertools
 
-import numpy as np
 import pytest
 
 from finalg.algebra import (
