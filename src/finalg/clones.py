@@ -6,7 +6,12 @@ Two closure strategies share one result type:
   the seeds, then round by round, operation by operation, the operand
   tuples that use a row new in the previous round, lexicographically
   (fresh_boxes enumerates them), so the first witness of any property
-  is reproducible and terms come out at minimal depth;
+  is reproducible and terms come out at minimal depth.  Two shortcuts
+  leave that order and every row and recipe unchanged: a binary
+  operation with a symmetric table skips the pairs (a, b) with b < a of
+  fresh first operands, whose rows repeat the earlier (b, a); and each
+  table lookup composes 1, 2 or 4 adjacent coordinates of the operand
+  rows at once, through a table on lane codes (lane_codes, packed_table);
 
 * a span strategy for algebras all of whose operations are multilinear
   over a designated abelian group operation (detected by table checks).
@@ -31,6 +36,8 @@ from .algebra import App, Const, FiniteAlgebra, FiniteFunction, Term, Var
 from .fields import PrimeSpan, abelian_group_info, group_coordinates, is_prime
 
 DEFAULT_CAP = 1 << 20
+BATCH_ENTRIES = 4_000_000  # table entries composed in one numpy step
+LUT_ENTRIES = 1 << 16  # entries of the largest packed table
 
 Recipe = tuple
 
@@ -245,6 +252,74 @@ def fresh_tuples(lo: int, hi: int, n: int) -> Iterator[tuple[int, ...]]:
             yield from itertools.product(*(range(a, b) for a, b in box))
 
 
+def composition_batches(
+    box: tuple, llo: int, hi: int, wid: int, mirror: bool
+) -> Iterator[tuple[int, int, int, int]]:
+    """Split the operand tuples of one prefix box into batches, in order.
+
+    The box's prefixes, numbered in lexicographic order, meet the last
+    operands [llo, hi); each yielded (b0, b1, l0, l1) pairs prefixes
+    b0..b1 with last operands l0..l1, and no batch holds more than
+    BATCH_ENTRIES table entries (wid per tuple) unless one tuple does.
+    With mirror, box is a range of first operands of a commutative binary
+    operation, and a batch starting at first operand a0 meets the last
+    operands from max(llo, a0) on only: for b < a the pair (a, b) gives the
+    row of (b, a), which is fresh too and comes earlier in the round, so it
+    is never a first occurrence.
+    """
+    n_pre = math.prod(b - a for a, b in box)
+    b0 = 0
+    while b0 < n_pre:
+        start = max(llo, box[0][0] + b0) if mirror else llo
+        per = BATCH_ENTRIES // ((hi - start) * wid)
+        if per:
+            b1 = min(b0 + per, n_pre)
+            yield b0, b1, start, hi
+            b0 = b1
+        else:
+            step = max(1, BATCH_ENTRIES // wid)
+            for l0 in range(start, hi, step):
+                yield b0, b0 + 1, l0, min(l0 + step, hi)
+            b0 += 1
+
+
+def lane_width(size: int, wid: int, k: int, entries: int) -> int:
+    """Adjacent coordinates composed per lookup into a k-ary table.
+
+    The largest of 1, 2 and 4 that divides the row width wid and whose
+    packed table (size**lanes)**k has at most LUT_ENTRIES entries and no
+    more than the entries the round composes, so that a small closure does
+    not pay to build it.
+    """
+    for lanes in (4, 2):
+        if wid % lanes == 0 and size ** (lanes * k) <= min(LUT_ENTRIES, entries):
+            return lanes
+    return 1
+
+
+def lane_codes(rows: np.ndarray, size: int, lanes: int) -> np.ndarray:
+    """Each run of lanes adjacent coordinates of each row as one base-size
+    number, leftmost most significant; lanes = 1 gives a view of rows."""
+    grouped = rows.reshape(len(rows), -1, lanes)
+    codes = grouped[..., 0].astype(np.min_scalar_type(size**lanes - 1), copy=False)
+    for j in range(1, lanes):
+        codes = codes * size + grouped[..., j]
+    return codes
+
+
+def packed_table(tab: np.ndarray, size: int, k: int, lanes: int) -> np.ndarray:
+    """The k-ary table tab on lane codes.
+
+    Entry sum_i c_i * (size**lanes)**(k-1-i) holds, as one unsigned integer
+    of lanes bytes, the values of tab on the operands' coordinates 1..lanes
+    of the codes c_i (see lane_codes), in memory order, so that a lookup
+    viewed as uint8 gives lanes adjacent coordinates of the result.
+    """
+    digits = np.indices((size,) * (k * lanes)).reshape(k, lanes, -1)
+    flat = np.ravel_multi_index(tuple(digits), (size,) * k)
+    return np.ascontiguousarray(tab[flat.T]).view(np.dtype(f"u{lanes}")).reshape(-1)
+
+
 def _explicit_closure(
     algebra: FiniteAlgebra,
     arity: int,
@@ -314,7 +389,13 @@ def _explicit_closure(
     if not rows:
         return _empty_result(algebra, arity, "bfs")
 
-    ops = _composing_ops(algebra)
+    # a commutative binary operation skips mirrored operand pairs
+    ops = [
+        (name, k, tab, k == 2 and np.array_equal(tab.reshape(size, size), tab.reshape(size, size).T))
+        for name, k, tab in _composing_ops(algebra)
+    ]
+    # packed tables, built once per operation and lane width
+    luts: dict[tuple[str, int], np.ndarray] = {}
     round_lo = 0
     depth = 0
     while round_lo < len(rows) and not stop:
@@ -324,34 +405,42 @@ def _explicit_closure(
         depth += 1
         hi = len(rows)
         stack = np.stack(rows[:hi])
-        for name, k, tab in ops:
-            # smallest unsigned type holding a flat index into tab
-            dtype = np.min_scalar_type(size**k - 1)
+        codes: dict[int, np.ndarray] = {}
+        for name, k, tab, symmetric in ops:
+            lanes = lane_width(size, wid, k, (hi**k - round_lo**k) * wid)
+            if (name, lanes) not in luts:
+                luts[name, lanes] = packed_table(tab, size, k, lanes)
+            if lanes not in codes:
+                codes[lanes] = lane_codes(stack, size, lanes)
+            lut, lane = luts[name, lanes], codes[lanes]
+            base = size**lanes
+            # smallest unsigned type holding an index into lut
+            dtype = np.min_scalar_type(base**k - 1)
             # an old operand prefix meets the new last operands, any other all
             for box, old in fresh_boxes(round_lo, hi, k - 1):
                 if stop:
                     break
                 llo = round_lo if old else 0
-                lasts = stack[llo:hi]
-                width = hi - llo
-                n_pre = math.prod(b - a for a, b in box)
-                block = max(1, 4_000_000 // (width * wid))
-                for b0 in range(0, n_pre, block):
+                for b0, b1, l0, l1 in composition_batches(box, llo, hi, wid, symmetric):
                     if stop:
                         break
                     # operand ids of a block of prefixes, in lexicographic order
-                    flat = np.arange(b0, min(b0 + block, n_pre))
+                    flat = np.arange(b0, b1)
                     prefix = []
                     for a, b in reversed(box):
                         flat, q = np.divmod(flat, b - a)
                         prefix.insert(0, a + q)
-                    pre = np.zeros((len(flat), wid), dtype=dtype)
-                    for ids in prefix:
-                        pre = pre * size + stack[ids]
-                    batch = tab[(pre[:, None, :] * size + lasts[None, :, :]).reshape(-1, wid)]
+                    idx = lane[None, l0:l1]
+                    if prefix:
+                        pre = lane[prefix[0]].astype(dtype)
+                        for ids in prefix[1:]:
+                            pre = pre * base + lane[ids]
+                        idx = pre[:, None, :] * base + idx
+                    batch = lut[idx.reshape(-1, wid // lanes)].view(np.uint8)
+                    width = l1 - l0
                     for off in new_offsets(batch):
                         q, r = divmod(int(off), width)
-                        args = tuple(int(ids[q]) for ids in prefix) + (llo + r,)
+                        args = tuple(int(ids[q]) for ids in prefix) + (l0 + r,)
                         add(batch[off], ("op", name, args))
                         if stop:
                             break

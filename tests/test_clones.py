@@ -6,12 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finalg.algebra import FiniteAlgebra, Operation, term_table
+from finalg import clones
+from finalg.algebra import FiniteAlgebra, Operation, flat_index, term_table
 from finalg.catalog import example_names, load_example
 from finalg.clones import (
     additive_structure,
+    composition_batches,
     free_spectrum,
     fresh_boxes,
+    lane_codes,
+    packed_table,
     polynomial_functions,
     term_functions,
 )
@@ -258,3 +262,109 @@ def test_bfs_order_matches_oracle_on_seeded_ternary_algebras():
         for arity in (1, 2):
             assert_matches_bfs_oracle(alg, arity, False, 50)
             assert_matches_bfs_oracle(alg, arity, True, 50, depth_cap=2)
+
+
+@st.composite
+def commutative_algebras(draw):
+    """Algebras of size 2 to 4 with a symmetric binary operation, and maybe
+    a second binary or unary operation, with an arity whose rows have at
+    most 16 cells and at least 8 when the size allows it."""
+    size = draw(st.integers(2, 4))
+    cells = draw(st.lists(st.integers(0, size - 1), min_size=size * size, max_size=size * size))
+    table = [cells[min(a, b) * size + max(a, b)] for a in range(size) for b in range(size)]
+    ops = [Operation("c", 2, tuple(table))]
+    k = draw(st.sampled_from([None, 1, 2]))
+    if k is not None:
+        other = draw(st.lists(st.integers(0, size - 1), min_size=size**k, max_size=size**k))
+        ops.insert(draw(st.integers(0, 1)), Operation("g", k, tuple(other)))
+    arity = {2: draw(st.integers(2, 4)), 3: 2, 4: 2}[size]
+    return FiniteAlgebra("commutative", size, ops), arity
+
+
+def test_commutative_and_packed_composition_match_bfs_oracle():
+    seen = {"skips": 0, "lanes": set()}
+
+    def batches_spy(box, llo, hi, wid, mirror):
+        for b0, b1, l0, l1 in composition_batches(box, llo, hi, wid, mirror):
+            seen["skips"] += l0 > llo
+            yield b0, b1, l0, l1
+
+    def packed_spy(tab, size, k, lanes):
+        seen["lanes"].add(lanes)
+        return packed_table(tab, size, k, lanes)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        commutative_algebras(),
+        st.booleans(),
+        st.integers(1, 200),
+        st.sampled_from([None, 2, 3]),
+        st.sampled_from([None, 7, 13]),
+    )
+    def check(algebra_arity, constants, cap, depth_cap, modulus):
+        algebra, arity = algebra_arity
+        until = None
+        if modulus is not None and not constants:
+            until = lambda row: sum(int(v) * (i + 1) for i, v in enumerate(row)) % modulus == 1
+        assert_matches_bfs_oracle(algebra, arity, constants, cap, depth_cap, until)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(clones, "composition_batches", batches_spy)
+        mp.setattr(clones, "packed_table", packed_spy)
+        check()
+    # both the mirrored-pair skip and multi-coordinate lookups ran
+    assert seen["skips"] > 0 and max(seen["lanes"]) > 1
+
+
+@pytest.mark.parametrize("size, k, lanes", [(2, 1, 4), (2, 2, 4), (2, 3, 2), (3, 2, 2), (4, 2, 4), (3, 1, 4), (2, 2, 1)])
+def test_packed_table_matches_per_coordinate_lookups(size, k, lanes):
+    rng = np.random.default_rng(size * 100 + k * 10 + lanes)
+    tab = rng.integers(0, size, size**k, dtype=np.uint8)
+    lut = packed_table(tab, size, k, lanes)
+    assert lut.shape == (size ** (lanes * k),) and lut.itemsize == lanes
+    wid = 4 * lanes
+    operands = rng.integers(0, size, (k, wid), dtype=np.uint8)
+    codes = lane_codes(operands, size, lanes).astype(np.int64)
+    packed = np.zeros(wid // lanes, dtype=np.int64)
+    for c in codes:
+        packed = packed * size**lanes + c
+    expect = [tab[flat_index(tuple(int(v) for v in operands[:, cell]), size)] for cell in range(wid)]
+    assert lut[packed].view(np.uint8).tolist() == expect
+
+
+@pytest.mark.parametrize("budget", [1, 7, 40, 10**6])
+@pytest.mark.parametrize(
+    "box, llo, hi, mirror",
+    [
+        (((2, 9),), 0, 9, False),
+        (((2, 9),), 0, 9, True),
+        (((3, 8),), 0, 8, True),
+        (((0, 3),), 3, 8, False),
+        (((0, 3),), 3, 8, True),
+        (((1, 2), (4, 7)), 0, 7, False),
+    ],
+)
+def test_composition_batches_stay_within_budget_and_order(box, llo, hi, mirror, budget, monkeypatch):
+    monkeypatch.setattr(clones, "BATCH_ENTRIES", budget)
+    wid = 4
+    prefixes = list(itertools.product(*(range(a, b) for a, b in box)))
+    tuples = []
+    for b0, b1, l0, l1 in composition_batches(box, llo, hi, wid, mirror):
+        assert (b1 - b0) * (l1 - l0) * wid <= max(budget, wid)
+        tuples += [p + (last,) for p in prefixes[b0:b1] for last in range(l0, l1)]
+    assert tuples == sorted(tuples)
+    expect = [p + (last,) for p in prefixes for last in range(llo, hi)]
+    if mirror:
+        # only the pairs (a, b) with b < a, which repeat (b, a), may be left out
+        assert set(expect) - set(tuples) <= {(a, b) for a, b in expect if b < max(a, llo)}
+        assert set(tuples) <= set(expect)
+    else:
+        assert tuples == expect
+
+
+def test_closure_with_a_small_batch_budget_matches_bfs_oracle(monkeypatch):
+    # one row per batch, so every prefix meets its last operands in pieces
+    monkeypatch.setattr(clones, "BATCH_ENTRIES", 8)
+    for name in ("z4", "m", "semilattice2"):
+        assert_matches_bfs_oracle(load_example(name), 2, True, 90)
+    assert_matches_bfs_oracle(load_example("lattice2"), 3, False, 1 << 20)
