@@ -315,9 +315,13 @@ def packed_table(tab: np.ndarray, size: int, k: int, lanes: int) -> np.ndarray:
     of the codes c_i (see lane_codes), in memory order, so that a lookup
     viewed as uint8 gives lanes adjacent coordinates of the result.
     """
-    digits = np.indices((size,) * (k * lanes)).reshape(k, lanes, -1)
-    flat = np.ravel_multi_index(tuple(digits), (size,) * k)
-    return np.ascontiguousarray(tab[flat.T]).view(np.dtype(f"u{lanes}")).reshape(-1)
+    # the coordinates of each lane code, then the flat index into tab of
+    # every code tuple and lane, in the smallest dtype that holds it
+    digits = np.indices((size,) * lanes, dtype=np.uint8).reshape(lanes, -1).T.copy()
+    flat = np.zeros(lanes, dtype=np.min_scalar_type(size**k - 1))
+    for _ in range(k):
+        flat = flat[..., None, :] * size + digits
+    return tab[flat].view(np.dtype(f"u{lanes}")).reshape(-1)
 
 
 def _explicit_closure(
@@ -437,9 +441,9 @@ def _explicit_closure(
                             pre = pre * base + lane[ids]
                         idx = pre[:, None, :] * base + idx
                     batch = lut[idx.reshape(-1, wid // lanes)].view(np.uint8)
-                    width = l1 - l0
+                    del idx  # as large as the batch: free it before screening
                     for off in new_offsets(batch):
-                        q, r = divmod(int(off), width)
+                        q, r = divmod(int(off), l1 - l0)
                         args = tuple(int(ids[q]) for ids in prefix) + (l0 + r,)
                         add(batch[off], ("op", name, args))
                         if stop:
