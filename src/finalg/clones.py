@@ -394,10 +394,10 @@ def _explicit_closure(
         return _empty_result(algebra, arity, "bfs")
 
     # a commutative binary operation skips mirrored operand pairs
-    ops = [
-        (name, k, tab, k == 2 and np.array_equal(tab.reshape(size, size), tab.reshape(size, size).T))
-        for name, k, tab in _composing_ops(algebra)
-    ]
+    ops = []
+    for name, k, tab in _composing_ops(algebra):
+        grid = tab.reshape(size, -1)
+        ops.append((name, k, tab, k == 2 and np.array_equal(grid, grid.T)))
     # packed tables, built once per operation and lane width
     luts: dict[tuple[str, int], np.ndarray] = {}
     round_lo = 0
@@ -441,7 +441,6 @@ def _explicit_closure(
                             pre = pre * base + lane[ids]
                         idx = pre[:, None, :] * base + idx
                     batch = lut[idx.reshape(-1, wid // lanes)].view(np.uint8)
-                    del idx  # as large as the batch: free it before screening
                     for off in new_offsets(batch):
                         q, r = divmod(int(off), l1 - l0)
                         args = tuple(int(ids[q]) for ids in prefix) + (l0 + r,)
