@@ -315,13 +315,9 @@ def packed_table(tab: np.ndarray, size: int, k: int, lanes: int) -> np.ndarray:
     of the codes c_i (see lane_codes), in memory order, so that a lookup
     viewed as uint8 gives lanes adjacent coordinates of the result.
     """
-    # the coordinates of each lane code, then the flat index into tab of
-    # every code tuple and lane, in the smallest dtype that holds it
-    digits = np.indices((size,) * lanes, dtype=np.uint8).reshape(lanes, -1).T.copy()
-    flat = np.zeros(lanes, dtype=np.min_scalar_type(size**k - 1))
-    for _ in range(k):
-        flat = flat[..., None, :] * size + digits
-    return tab[flat].view(np.dtype(f"u{lanes}")).reshape(-1)
+    digits = np.indices((size,) * (k * lanes)).reshape(k, lanes, -1)
+    flat = np.ravel_multi_index(tuple(digits), (size,) * k)
+    return np.ascontiguousarray(tab[flat.T]).view(np.dtype(f"u{lanes}")).reshape(-1)
 
 
 def _explicit_closure(
