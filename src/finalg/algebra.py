@@ -3,7 +3,10 @@
 An algebra is a finite universe {0, ..., size-1} together with named
 operations given by flat lookup tables.  Tables are row-major with the
 leftmost argument most significant: the value of f(a_1, ..., a_n) sits at
-index sum(a_j * size**(n-j)).
+index sum(a_j * size**(n-j)).  This module is the one home of that layout:
+flat_index and unflatten_index convert single cells, cell_digits lists the
+arguments of every cell, and compose applies a table to whole arrays of
+arguments.
 """
 from __future__ import annotations
 
@@ -35,6 +38,25 @@ def unflatten_index(idx: int, size: int, arity: int) -> tuple[int, ...]:
         out.append(idx % size)
         idx //= size
     return tuple(reversed(out))
+
+
+def cell_digits(size: int, arity: int) -> np.ndarray:
+    """The (arity, size**arity) int64 array whose column c holds the
+    arguments of cell c of an arity-ary table, in table order."""
+    return np.indices((size,) * arity, dtype=np.int64).reshape(arity, size**arity)
+
+
+def compose(table: np.ndarray, size: int, args: Iterable) -> np.ndarray:
+    """The flat k-ary table applied entrywise to k broadcastable arrays.
+
+    args is read one array at a time, so it may be a generator; the result
+    has the broadcast shape of the arguments and the table's dtype, so
+    callers doing arithmetic on a uint8 table's result must cast it first.
+    """
+    idx = np.zeros((), dtype=np.int64)
+    for a in args:
+        idx = idx * size + a
+    return table.reshape(-1)[idx]
 
 
 @dataclass(frozen=True)
@@ -322,11 +344,7 @@ class FiniteFunction:
 
 
 def projection(arity: int, size: int, index: int) -> FiniteFunction:
-    grid = np.zeros((size,) * arity, dtype=np.uint8)
-    shape = [1] * arity
-    shape[index] = size
-    grid += np.arange(size, dtype=np.uint8).reshape(shape)
-    return FiniteFunction(arity, size, grid.reshape(-1).tobytes())
+    return FiniteFunction(arity, size, cell_digits(size, arity)[index].astype(np.uint8).tobytes())
 
 
 def constant_function(arity: int, size: int, value: int) -> FiniteFunction:
@@ -360,9 +378,6 @@ def cylindrify(f: FiniteFunction, arity: int, positions: Sequence[int] | None = 
         raise AlgebraFormatError("positions must match the function arity")
     if arity < f.arity or any(not 0 <= p < arity for p in positions):
         raise AlgebraFormatError("invalid cylindrification target")
-    idx = np.indices((f.size,) * arity, dtype=np.intp)
-    flat = np.zeros_like(idx[0])
-    for pos in positions:
-        flat = flat * f.size + idx[pos]
-    full = f.as_array()[flat]
-    return FiniteFunction(arity, f.size, full.reshape(-1).astype(np.uint8).tobytes())
+    digits = cell_digits(f.size, arity)
+    full = compose(f.as_array(), f.size, (digits[pos] for pos in positions))
+    return FiniteFunction(arity, f.size, np.broadcast_to(full, digits.shape[1:]).tobytes())

@@ -32,7 +32,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .algebra import App, Const, FiniteAlgebra, FiniteFunction, Term, Var
+from .algebra import App, Const, FiniteAlgebra, FiniteFunction, Term, Var, cell_digits, compose
 from .fields import PrimeSpan, abelian_group_info, group_coordinates, is_prime
 
 DEFAULT_CAP = 1 << 20
@@ -193,11 +193,9 @@ def _seed_rows(
 ) -> list[tuple[np.ndarray, Recipe]]:
     size = algebra.size
     wid = size**arity
-    seeds: list[tuple[np.ndarray, Recipe]] = []
-    for i in range(arity):
-        reps = size**i
-        tile = np.repeat(np.arange(size, dtype=np.uint8), wid // size ** (i + 1))
-        seeds.append((np.tile(tile, reps), ("var", i)))
+    seeds: list[tuple[np.ndarray, Recipe]] = [
+        (digits.astype(np.uint8), ("var", i)) for i, digits in enumerate(cell_digits(size, arity))
+    ]
     if with_constants:
         for v in range(size):
             seeds.append((np.full(wid, v, dtype=np.uint8), ("const", v)))
@@ -315,9 +313,9 @@ def packed_table(tab: np.ndarray, size: int, k: int, lanes: int) -> np.ndarray:
     of the codes c_i (see lane_codes), in memory order, so that a lookup
     viewed as uint8 gives lanes adjacent coordinates of the result.
     """
-    digits = np.indices((size,) * (k * lanes)).reshape(k, lanes, -1)
-    flat = np.ravel_multi_index(tuple(digits), (size,) * k)
-    return np.ascontiguousarray(tab[flat.T]).view(np.dtype(f"u{lanes}")).reshape(-1)
+    digits = cell_digits(size, k * lanes).reshape(k, lanes, -1)
+    values = compose(tab, size, digits).T
+    return np.ascontiguousarray(values).view(np.dtype(f"u{lanes}")).reshape(-1)
 
 
 def _explicit_closure(
@@ -462,7 +460,6 @@ def _span_closure_prime(
     size = algebra.size
     wid = size**arity
     p = span.exponent
-    plus_flat = span.plus.reshape(-1)
     # (A, plus) as an F_p vector space, for membership tests
     coord_table = group_coordinates(span.plus, span.zero, p)
     echelon = PrimeSpan(p)
@@ -499,10 +496,7 @@ def _span_closure_prime(
         for name, k, tab in ops:
             for pos in fresh_tuples(lo, hi, k):
                 combo = tuple(gens[i] for i in pos)
-                idx = core_rows[combo[0]].astype(np.int64)
-                for g in combo[1:]:
-                    idx = idx * size + core_rows[g]
-                register(tab[idx].astype(np.uint8), ("op", name, combo))
+                register(compose(tab, size, (core_rows[g] for g in combo)), ("op", name, combo))
 
     if not core_rows:
         return _empty_result(algebra, arity, "span")
@@ -524,13 +518,12 @@ def _span_closure_prime(
             if room <= 0:
                 break
             take = min(n_base, room)
-            block = plus_flat[tables[:take].astype(np.int64) * size + mult_row]
-            tables[n_have : n_have + take] = block.astype(np.uint8)
+            tables[n_have : n_have + take] = compose(span.plus, size, (tables[:take], mult_row))
             for i in range(take):
                 recipes.append(("lincomb", recipes[i][1] + ((gid, mult),)))
             n_have += take
             if mult + 1 < p:
-                mult_row = plus_flat[mult_row.astype(np.int64) * size + base]
+                mult_row = compose(span.plus, size, (mult_row, base))
 
     tables = tables[:n_have]
     index = {tables[i].tobytes(): i for i in range(n_have)}
@@ -566,7 +559,6 @@ def _span_closure_general(
     """Span closure for non-prime exponents: the subgroup stays materialized."""
     size = algebra.size
     wid = size**arity
-    plus_flat = span.plus.reshape(-1)
 
     rows: list[np.ndarray] = []
     index: dict[bytes, int] = {}
@@ -593,7 +585,7 @@ def _span_closure_general(
         multiples = [fid]
         x = rows[fid]
         while True:
-            x = plus_flat[x.astype(np.int64) * size + rows[fid]].astype(np.uint8)
+            x = compose(span.plus, size, (x, rows[fid]))
             key = x.tobytes()
             if key in members or key == rows[fid].tobytes():
                 break
@@ -603,7 +595,7 @@ def _span_closure_general(
             mrow = rows[mid]
             members[mrow.tobytes()] = None
             for sid in snapshot:
-                out = plus_flat[mrow.astype(np.int64) * size + rows[sid]].astype(np.uint8)
+                out = compose(span.plus, size, (mrow, rows[sid]))
                 members[out.tobytes()] = None
                 register(out, ("op", span.plus_name, (mid, sid)))
                 if len(members) > cap:
@@ -633,10 +625,8 @@ def _span_closure_general(
             if capped:
                 break
             for combo in fresh_tuples(done, known, k):
-                idx = rows[gen_ids[combo[0]]].astype(np.int64)
-                for c in combo[1:]:
-                    idx = idx * size + rows[gen_ids[c]]
-                note(tab[idx].astype(np.uint8), ("op", name, tuple(gen_ids[c] for c in combo)))
+                ids = tuple(gen_ids[c] for c in combo)
+                note(compose(tab, size, (rows[i] for i in ids)), ("op", name, ids))
                 if capped:
                     break
         done = known

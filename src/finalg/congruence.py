@@ -9,19 +9,21 @@ a fixpoint yields full compatibility.
 The binary commutator is computed inside the subalgebra of A x A whose
 universe is one of the congruences: generate a congruence there from
 the diagonal pairs of the other, then read off which pairs collapse
-onto the diagonal.  The lower central series iterates the commutator
-with the full congruence, which yields the nilpotency class.
+onto the diagonal.  That pair subalgebra is never wrapped as an algebra:
+its operations are int64 grids of pair ids, built with
+finalg.algebra.compose, so commutators have no order limit.  The lower
+central series iterates the commutator with the full congruence, which
+yields the nilpotency class.
 """
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, Operation
+from .algebra import FiniteAlgebra, Operation, cell_digits, compose
 
 
 @dataclass(frozen=True)
@@ -71,6 +73,12 @@ class Congruence:
             for b in range(a + 1, self.size):
                 if self.block_of[a] == self.block_of[b]:
                     yield a, b
+
+    def pair_array(self) -> np.ndarray:
+        """Every related pair (a, b), a == b included, as an (n, 2) int64
+        array in lexicographic order."""
+        blocks = np.asarray(self.block_of, dtype=np.int64)
+        return np.argwhere(blocks[:, None] == blocks[None, :]).astype(np.int64, copy=False)
 
     def refines(self, other: "Congruence") -> bool:
         seen: dict[int, int] = {}
@@ -127,25 +135,34 @@ def congruence_from_pairs(
     algebra: FiniteAlgebra, pairs: Iterable[tuple[int, int]]
 ) -> Congruence:
     """Least congruence containing the given pairs."""
-    uf = _UnionFind(algebra.size)
-    work: deque[tuple[int, int]] = deque(pairs)
+    size = algebra.size
     grids = [
-        (op.arity, algebra.op_array(op.name).reshape((algebra.size,) * op.arity))
+        algebra.op_array(op.name).reshape((size,) * op.arity)
         for op in algebra.operations
         if op.arity >= 1
     ]
+    return _congruence_from_grids(size, grids, pairs)
+
+
+def _congruence_from_grids(
+    size: int, grids: Sequence[np.ndarray], pairs: Iterable[tuple[int, int]]
+) -> Congruence:
+    """Least partition of range(size) containing the pairs and compatible
+    with operations given as grids of shape (size,) * arity."""
+    uf = _UnionFind(size)
+    work: deque[tuple[int, int]] = deque(pairs)
     while work:
         a, b = work.popleft()
         if not uf.union(a, b):
             continue
-        for arity, grid in grids:
-            for pos in range(arity):
+        for grid in grids:
+            for pos in range(grid.ndim):
                 left = np.take(grid, a, axis=pos).reshape(-1)
                 right = np.take(grid, b, axis=pos).reshape(-1)
                 for x, y in zip(left.tolist(), right.tolist()):
                     if uf.find(x) != uf.find(y):
                         work.append((x, y))
-    return Congruence.from_blocks(algebra.size, [uf.find(x) for x in range(algebra.size)])
+    return Congruence.from_blocks(size, [uf.find(x) for x in range(size)])
 
 
 def principal_congruence(algebra: FiniteAlgebra, a: int, b: int) -> Congruence:
@@ -215,74 +232,49 @@ def quotient_algebra(
     reps = sorted(set(cong.block_of))
     class_of = {rep: i for i, rep in enumerate(reps)}
     to_class = tuple(class_of[cong.block_of[x]] for x in range(parent.size))
-    q = len(reps)
+    rep_of = np.array(reps, dtype=np.int64)
+    class_of_x = np.array(to_class, dtype=np.int64)
     ops = []
     for op in parent.operations:
-        if op.arity == 0:
-            table = (to_class[op.table[0]],)
-        else:
-            table = tuple(
-                to_class[parent.apply(op.name, [reps[c] for c in combo])]
-                for combo in itertools.product(range(q), repeat=op.arity)
-            )
-        ops.append(Operation(op.name, op.arity, table))
-    alg = FiniteAlgebra(name or f"{parent.name}/~", q, ops)
+        # the class of the parent's value at the representatives of each cell
+        args = rep_of[cell_digits(len(reps), op.arity)]
+        value = class_of_x[compose(parent.op_array(op.name), parent.size, args)]
+        ops.append(Operation(op.name, op.arity, tuple(np.ravel(value).tolist())))
+    alg = FiniteAlgebra(name or f"{parent.name}/~", len(reps), ops)
     return QuotientResult(alg, to_class, tuple(reps))
-
-
-def _pair_algebra(
-    algebra: FiniteAlgebra, cong: Congruence
-) -> tuple[FiniteAlgebra, list[tuple[int, int]], dict[tuple[int, int], int]]:
-    """Subalgebra of A x A whose universe is the congruence, componentwise ops."""
-    members = [(a, b) for a in range(algebra.size) for b in range(algebra.size) if cong.related(a, b)]
-    pair_id = {p: i for i, p in enumerate(members)}
-    m = len(members)
-    firsts = np.array([p[0] for p in members], dtype=np.int64)
-    seconds = np.array([p[1] for p in members], dtype=np.int64)
-    size = algebra.size
-    ops = []
-    for op in algebra.operations:
-        if op.arity == 0:
-            v = op.table[0]
-            ops.append(Operation(op.name, 0, (pair_id[(v, v)],)))
-            continue
-        flat = algebra.op_array(op.name).astype(np.int64)
-        idx_first = np.zeros((m,) * op.arity, dtype=np.int64)
-        idx_second = np.zeros((m,) * op.arity, dtype=np.int64)
-        for pos in range(op.arity):
-            shape = [1] * op.arity
-            shape[pos] = m
-            idx_first = idx_first * size + firsts.reshape(shape)
-            idx_second = idx_second * size + seconds.reshape(shape)
-        out_first = flat[idx_first]
-        out_second = flat[idx_second]
-        table = []
-        for f, s in zip(out_first.reshape(-1).tolist(), out_second.reshape(-1).tolist()):
-            table.append(pair_id[(f, s)])
-        ops.append(Operation(op.name, op.arity, tuple(table)))
-    big = FiniteAlgebra(f"{algebra.name}^pairs", m, ops)
-    return big, members, pair_id
 
 
 def commutator(algebra: FiniteAlgebra, alpha: Congruence, beta: Congruence) -> Congruence:
     """Binary term-condition commutator of two congruences.
 
-    Works inside the pair subalgebra over beta: the congruence generated
-    there by identifying (a,a) with (b,b) for all alpha-pairs tells us
-    which beta-pairs are forced onto the diagonal.
+    Works inside the pair subalgebra over beta, whose elements are the
+    beta-pairs numbered in lexicographic order and whose operations act
+    componentwise: the congruence generated there by identifying (a,a)
+    with (b,b) for all alpha-pairs tells us which beta-pairs are forced
+    onto the diagonal.
     """
-    big, members, pair_id = _pair_algebra(algebra, beta)
-    gens = [
-        (pair_id[(a, a)], pair_id[(b, b)])
-        for a, b in alpha.pairs()
-    ]
-    delta = congruence_from_pairs(big, gens)
-    forced = [
-        (x, y)
-        for (x, y) in members
-        if x != y and delta.related(pair_id[(x, y)], pair_id[(y, y)])
-    ]
-    return congruence_from_pairs(algebra, forced)
+    size = algebra.size
+    members = beta.pair_array()
+    m = len(members)
+    pair_id = np.full((size, size), -1, dtype=np.int64)
+    pair_id[members[:, 0], members[:, 1]] = np.arange(m)
+    grids = []
+    for op in algebra.operations:
+        k = op.arity
+        if k == 0:
+            continue
+        table = algebra.op_array(op.name)
+        # argument i of the grid runs along axis i
+        axes = [(m,) + (1,) * (k - 1 - i) for i in range(k)]
+        firsts = compose(table, size, (members[:, 0].reshape(shape) for shape in axes))
+        seconds = compose(table, size, (members[:, 1].reshape(shape) for shape in axes))
+        grids.append(pair_id[firsts, seconds])
+    diagonal = np.diagonal(pair_id).tolist()
+    gens = [(diagonal[a], diagonal[b]) for a, b in alpha.pairs()]
+    delta = np.array(_congruence_from_grids(m, grids, gens).block_of)
+    x, y = members.T
+    forced = members[(x != y) & (delta == delta[pair_id[y, y]])]
+    return congruence_from_pairs(algebra, forced.tolist())
 
 
 def lower_central_series(algebra: FiniteAlgebra) -> list[Congruence]:

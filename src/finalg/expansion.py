@@ -22,7 +22,7 @@ from math import lcm, prod
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, FiniteFunction, Operation
+from .algebra import FiniteAlgebra, FiniteFunction, Operation, cell_digits, compose
 from .congruence import (
     CentralSeries,
     Congruence,
@@ -242,16 +242,6 @@ class ExpansionReport:
         raise KeyError(name)
 
 
-def _congruence_tuples(cong: Congruence) -> np.ndarray:
-    rows = [
-        (a, b)
-        for a in range(cong.size)
-        for b in range(cong.size)
-        if cong.related(a, b)
-    ]
-    return np.array(rows, dtype=np.int64)
-
-
 def verify_expansion(
     expanded: ExpandedAlgebra, series: CentralSeries, d: MalcevWitness
 ) -> ExpansionReport:
@@ -272,7 +262,7 @@ def verify_expansion(
     bad_detail = ""
     for i, cong in enumerate(series.congruences):
         blocks = np.array(cong.block_of, dtype=np.int64)
-        tuples = _congruence_tuples(cong)
+        tuples = cong.pair_array()
 
         def member_pair(rows: np.ndarray) -> np.ndarray:
             return blocks[rows[:, 0]] == blocks[rows[:, 1]]
@@ -324,27 +314,15 @@ def verify_expansion(
     bad_detail = ""
     for i in range(1, len(series.congruences)):
         lower = np.array(series.congruences[i - 1].block_of, dtype=np.int64)
-        upper = series.congruences[i]
-        upper_blocks = np.array(upper.block_of, dtype=np.int64)
-        lower_lists: dict[int, list[int]] = {}
-        for x in range(size):
-            lower_lists.setdefault(int(lower[x]), []).append(x)
-        rows = []
-        for x1 in range(size):
-            for x2 in range(size):
-                if not upper.related(x1, x2):
-                    continue
-                for x3 in range(size):
-                    for x4 in lower_lists[int(lower[dgrid[x1, x2, x3]])]:
-                        rows.append((x1, x2, x3, x4))
-        tuples = np.array(rows, dtype=np.int64)
-        dflat = dgrid.reshape(-1)
+        upper = np.array(series.congruences[i].block_of, dtype=np.int64)
 
         def member_aligned(cand: np.ndarray) -> np.ndarray:
-            vals = dflat[(cand[:, 0] * size + cand[:, 1]) * size + cand[:, 2]]
-            return (upper_blocks[cand[:, 0]] == upper_blocks[cand[:, 1]]) & (
-                lower[vals] == lower[cand[:, 3]]
-            )
+            vals = compose(dgrid, size, cand[:, :3].T)
+            return (upper[cand[:, 0]] == upper[cand[:, 1]]) & (lower[vals] == lower[cand[:, 3]])
+
+        # the relation's rows, in lexicographic order
+        cells = cell_digits(size, 4).T
+        tuples = cells[member_aligned(cells)]
 
         for table, arity, label in new_ops:
             hit = relation_preservation_witness(table, arity, size, tuples, member_aligned)

@@ -17,7 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import CapExceeded, FiniteAlgebra, FiniteFunction, Operation, Term, term_table
+from .algebra import (
+    CapExceeded,
+    FiniteAlgebra,
+    FiniteFunction,
+    Operation,
+    Term,
+    cell_digits,
+    compose,
+    term_table,
+)
 from .clones import term_functions
 from .congruence import Congruence, commutator, relation_preservation_witness
 
@@ -37,12 +46,10 @@ class MalcevWitness:
 def _malcev_cells(size: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat indices of the 2|A|^2 cells (x,y,y) and (x,x,y) of a ternary
     table, and the values d(x,y,y) = x and d(x,x,y) = y wanted there."""
-    xs = np.arange(size, dtype=np.int64)
-    x = np.repeat(xs, size)
-    y = np.tile(xs, size)
-    # row layout is x*size^2 + y*size + z, leftmost argument most significant
-    cells = np.concatenate([x * size * size + y * size + y, x * size * size + x * size + y])
-    return cells, np.concatenate([x, y]).astype(np.uint8)
+    x, y, z = cell_digits(size, 3)
+    xyy = np.flatnonzero(y == z)
+    xxy = np.flatnonzero(x == y)
+    return np.concatenate([xyy, xxy]), np.concatenate([x[xyy], z[xxy]]).astype(np.uint8)
 
 
 def find_malcev_term(
@@ -101,20 +108,15 @@ def centrality_check(algebra: FiniteAlgebra, zeta: Congruence, d: Term) -> bool:
     """
     grid = malcev_grid(algebra, d)
     s = algebra.size
-    rows = []
-    for a1 in range(s):
-        for a2 in range(s):
-            if not zeta.related(a1, a2):
-                continue
-            for a3 in range(s):
-                rows.append((a1, a2, a3, int(grid[a1, a2, a3])))
-    tuples = np.array(rows, dtype=np.int64)
     zb = np.array(zeta.block_of, dtype=np.int64)
-    dflat = grid.reshape(-1)
 
     def member(cand: np.ndarray) -> np.ndarray:
-        lookup = dflat[(cand[:, 0] * s + cand[:, 1]) * s + cand[:, 2]]
+        lookup = compose(grid, s, cand[:, :3].T)
         return (zb[cand[:, 0]] == zb[cand[:, 1]]) & (lookup == cand[:, 3])
+
+    # the relation's rows, in lexicographic order
+    cells = cell_digits(s, 4).T
+    tuples = cells[member(cells)]
 
     for op in algebra.operations:
         bad = relation_preservation_witness(

@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import CapExceeded, FiniteFunction
+from .algebra import CapExceeded, FiniteFunction, cell_digits
 from .clones import fresh_tuples, term_functions
 from .fields import FiniteField, PrimeSpan
 
@@ -532,11 +532,7 @@ def induced_function(p: FieldPolynomial, arity: int) -> FiniteFunction:
     if q > 255:
         raise ValueError("field order too large for table-backed functions")
     n = q**arity
-    idx = np.arange(n, dtype=np.int64)
-    var_digits = []
-    for i in range(arity):
-        # x_{i+1} varies with weight q**(arity-1-i): leftmost argument most significant
-        var_digits.append((idx // q ** (arity - 1 - i)) % q)
+    var_digits = cell_digits(q, arity)
     values = np.zeros(n, dtype=np.int64)
     for mono, coeff in p.terms:
         term = np.full(n, coeff, dtype=np.int64)
@@ -616,13 +612,8 @@ def top_homovariate_of_absorbing(p: FieldPolynomial, arity: int) -> FieldPolynom
     """For p inducing a function that vanishes whenever an argument is 0,
     the component on all of x1..x_arity, which induces the same function."""
     func = induced_function(p, arity)
-    grid = func.as_array().reshape((p.field.order,) * arity)
-    mask = np.zeros(grid.shape, dtype=bool)
-    for axis in range(arity):
-        sel = [slice(None)] * arity
-        sel[axis] = 0
-        mask[tuple(sel)] = True
-    if np.any(grid[mask] != 0):
+    touching_zero = (cell_digits(p.field.order, arity) == 0).any(axis=0)
+    if np.any(func.as_array()[touching_zero] != 0):
         raise ValueError("induced function is not absorbing at 0")
     top = homovariate_component(p, range(1, arity + 1))
     if induced_function(top, arity) != func:

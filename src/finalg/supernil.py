@@ -28,6 +28,8 @@ from .algebra import (
     FiniteAlgebra,
     FiniteFunction,
     Term,
+    cell_digits,
+    compose,
     essential_arity,
     term_table,
     unflatten_index,
@@ -95,11 +97,7 @@ def log_height_bound(order: int, max_arity: int) -> tuple[float, int]:
 
 @lru_cache(maxsize=32)
 def _zero_touching_mask(arity: int, size: int, zero: int) -> np.ndarray:
-    idx = np.arange(size**arity, dtype=np.int64)
-    mask = np.zeros(size**arity, dtype=bool)
-    for pos in range(arity):
-        mask |= (idx // size ** (arity - 1 - pos)) % size == zero
-    return mask
+    return (cell_digits(size, arity) == zero).any(axis=0)
 
 
 def is_absorbing(f: FiniteFunction, zero: int) -> bool:
@@ -541,15 +539,7 @@ def _detect_prime_plus(
 def _relabel_table(table: np.ndarray, arity: int, size: int, phi: np.ndarray) -> np.ndarray:
     inv = np.empty(size, dtype=np.int64)
     inv[phi] = np.arange(size)
-    flat = np.asarray(table, dtype=np.int64).reshape(-1)
-    if arity == 0:
-        return phi[flat]
-    idx = np.arange(size**arity, dtype=np.int64)
-    old_flat = np.zeros_like(idx)
-    for pos in range(arity):
-        digit = (idx // size ** (arity - 1 - pos)) % size
-        old_flat = old_flat * size + inv[digit]
-    return phi[flat[old_flat]]
+    return phi[np.ravel(compose(table, size, inv[cell_digits(size, arity)]))]
 
 
 def absorbing_arity_check(

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finalg.algebra import (
     AlgebraFormatError,
@@ -11,6 +13,8 @@ from finalg.algebra import (
     FiniteAlgebra,
     Operation,
     Var,
+    cell_digits,
+    compose,
     constant_function,
     cylindrify,
     depends_on,
@@ -52,6 +56,40 @@ def test_flat_index_leftmost_most_significant():
     # f(a1,...,an) sits at a1*s^(n-1) + ... + an
     assert flat_index((1, 0, 2), 3) == 1 * 9 + 0 * 3 + 2
     assert flat_index((2, 1), 4) == 2 * 4 + 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(size=st.integers(1, 5), arity=st.integers(0, 4))
+def test_cell_digits_list_every_cell_in_table_order(size, arity):
+    digits = cell_digits(size, arity)
+    assert digits.dtype == np.int64
+    assert digits.shape == (arity, size**arity)
+    for idx in range(size**arity):
+        assert tuple(digits[:, idx].tolist()) == unflatten_index(idx, size, arity)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_compose_reads_tables_at_flat_indices(data):
+    size = data.draw(st.integers(1, 5))
+    arity = data.draw(st.integers(0, 3))
+    element = st.integers(0, size - 1)
+    values = data.draw(st.lists(element, min_size=size**arity, max_size=size**arity))
+    table = np.array(values, dtype=np.uint8)
+    # on every cell at once, the table comes back unchanged
+    whole = compose(table, size, cell_digits(size, arity))
+    assert whole.dtype == np.uint8
+    assert np.array_equal(np.ravel(whole), table)
+    # argument arrays of shapes (n, 1), (n,), ... broadcast to a grid, and a
+    # generator of arguments is read one array at a time
+    n = data.draw(st.integers(1, 4))
+    args = [np.array(data.draw(st.lists(element, min_size=n, max_size=n))) for _ in range(arity)]
+    shaped = [a.reshape((n,) + (1,) * (arity - 1 - i)) for i, a in enumerate(args)]
+    grid = compose(table, size, (a for a in shaped))
+    assert grid.shape == (n,) * arity
+    for cell in np.ndindex(*grid.shape):
+        point = tuple(int(args[i][j]) for i, j in enumerate(cell))
+        assert grid[cell] == table[flat_index(point, size)]
 
 
 def test_parse_roundtrip():

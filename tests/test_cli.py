@@ -1,6 +1,7 @@
 """Command line reports: exit codes, payloads, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -27,11 +28,10 @@ def write_algebra(tmp_path, name, size, operations):
     return path
 
 
-def z6_path(tmp_path):
-    n = 6
+def cyclic_path(tmp_path, n):
     return write_algebra(
         tmp_path,
-        "Z6",
+        f"Z{n}",
         n,
         [
             {"name": "+", "arity": 2, "table": [(a + b) % n for a in range(n) for b in range(n)]},
@@ -69,6 +69,13 @@ class TestAnalyze:
         assert code == EXIT_OK
         assert report["results"]["congruences"] == 1
         assert report["results"]["height"] == 0
+
+    def test_sixteen_element_group_is_analyzed(self, capsys, tmp_path):
+        # its pair subalgebras have 256 elements, one more than an input may
+        code, report, _ = run_cli(capsys, "analyze", cyclic_path(tmp_path, 16))
+        assert code == EXIT_OK
+        assert report["results"]["nilpotency_class"] == 1
+        assert report["results"]["congruences"] == 5
 
 
 class TestExpand:
@@ -143,7 +150,7 @@ class TestBoundVerify:
 
     def test_mixed_order_input_warns_and_skips_the_arity_check(self, capsys, tmp_path):
         code, report, _ = run_cli(
-            capsys, "bound-verify", z6_path(tmp_path), "--size-cap", 4000
+            capsys, "bound-verify", cyclic_path(tmp_path, 6), "--size-cap", 4000
         )
         assert code == EXIT_CAPPED
         res = report["results"]
@@ -305,10 +312,14 @@ class TestErrorsAndDeterminism:
         assert json.loads(out.read_text()) == report
 
     def test_module_entry_point(self):
+        # the child interpreter imports finalg from this checkout's sources
+        src = str(Path(finalg.__file__).resolve().parent.parent)
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "finalg.cli", "analyze", str(FIXTURES / "z4.json")],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["results"]["congruences"] == 3

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finalg.algebra import parse_algebra
 from finalg.catalog import load_example
@@ -35,6 +37,56 @@ def as_blockmap(cong: Congruence) -> tuple[int, ...]:
 
 def canonical(raw) -> tuple[int, ...]:
     return Congruence.from_blocks(len(raw), raw).block_of
+
+
+def group_from_rule(name: str, order: int, mul, inv):
+    """A group as an algebra with *, inv and the identity e = 0."""
+    elements = range(order)
+    return parse_algebra({
+        "name": name,
+        "size": order,
+        "operations": [
+            {"name": "*", "arity": 2, "table": [mul(a, b) for a in elements for b in elements]},
+            {"name": "inv", "arity": 1, "table": [inv(a) for a in elements]},
+            {"name": "e", "arity": 0, "table": [0]},
+        ],
+    })
+
+
+def dihedral_rule(n: int):
+    """Multiplication and inverse of the dihedral group of order 2n, with
+    r^i s^j numbered i + n*j and s r = r^-1 s."""
+
+    def mul(a, b):
+        (j, i), (l, k) = divmod(a, n), divmod(b, n)
+        return (i + (-1) ** j * k) % n + n * ((j + l) % 2)
+
+    def inv(a):
+        j, i = divmod(a, n)
+        return a if j else (-i) % n
+
+    return mul, inv
+
+
+def cyclic16():
+    return group_from_rule("Z16", 16, lambda a, b: (a + b) % 16, lambda a: (-a) % 16)
+
+
+def z2_times_d4():
+    mul, inv = dihedral_rule(4)
+    return group_from_rule(
+        "Z2xD4",
+        16,
+        lambda a, b: 8 * ((a // 8 + b // 8) % 2) + mul(a % 8, b % 8),
+        lambda a: 8 * (a // 8) + inv(a % 8),
+    )
+
+
+def dihedral16():
+    return group_from_rule("D16", 16, *dihedral_rule(8))
+
+
+ORDER_16 = {"Z16": cyclic16, "Z2xD4": z2_times_d4, "D16": dihedral16}
 
 
 def random_malcev_algebra(seed: int):
@@ -159,6 +211,11 @@ def test_group_commutator_agrees():
     derived = commutator(d4, one, one)
     # the derived subgroup is {e, r^2}; cosets pair index i with i+2
     assert derived.blocks() == [(0, 2), (1, 3), (4, 6), (5, 7)]
+    # of order 16, past the size of a pair subalgebra's old wrapper: the
+    # derived subgroup of the dihedral group is <r^2>, whose cosets are
+    # r^i s^j with i of fixed parity and fixed j
+    derived = commutator(dihedral16(), one_congruence(16), one_congruence(16))
+    assert derived.blocks() == [(0, 2, 4, 6), (1, 3, 5, 7), (8, 10, 12, 14), (9, 11, 13, 15)]
 
 
 @pytest.mark.parametrize(
@@ -172,10 +229,14 @@ def test_group_commutator_agrees():
         ("q8", 2),
         ("semilattice2", None),
         ("lattice2", None),
+        ("Z16", 1),
+        ("Z2xD4", 2),
+        ("D16", 3),
     ],
 )
 def test_nilpotency_class(name, cls):
-    assert nilpotency_class(load_example(name)) == cls
+    algebra = ORDER_16[name]() if name in ORDER_16 else load_example(name)
+    assert nilpotency_class(algebra) == cls
 
 
 def test_lower_central_series_shape():
@@ -211,6 +272,31 @@ def test_quotient_algebra():
     assert q.algebra.apply("+", (1, 1)) == 0
     assert q.algebra.apply("mul", (1, 1)) == 0
     assert q.algebra.apply("zero", ()) == 0
+
+
+@st.composite
+def algebras_with_pairs(draw):
+    size = draw(st.integers(1, 4))
+    element = st.integers(0, size - 1)
+    arities = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    tables = [draw(st.lists(element, min_size=size**k, max_size=size**k)) for k in arities]
+    ops = [{"name": f"f{i}", "arity": k, "table": t} for i, (k, t) in enumerate(zip(arities, tables))]
+    pairs = draw(st.lists(st.tuples(element, element), max_size=3))
+    return parse_algebra({"name": "random", "size": size, "operations": ops}), pairs
+
+
+@settings(max_examples=100, deadline=None)
+@given(algebras_with_pairs())
+def test_quotient_algebra_agrees_with_its_per_cell_definition(case):
+    parent, pairs = case
+    q = quotient_algebra(parent, congruence_from_pairs(parent, pairs))
+    for op in parent.operations:
+        table = q.algebra.operation(op.name).table
+        assert all(type(v) is int for v in table)
+        reps = q.representative
+        cells = itertools.product(range(q.algebra.size), repeat=op.arity)
+        want = [q.to_class[parent.apply(op.name, [reps[c] for c in cell])] for cell in cells]
+        assert list(table) == want
 
 
 def test_uniformity():
