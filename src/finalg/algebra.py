@@ -55,7 +55,13 @@ def compose(table: np.ndarray, size: int, args: Iterable) -> np.ndarray:
     """
     idx = np.zeros((), dtype=np.int64)
     for a in args:
-        idx = idx * size + a
+        # accumulate in place unless a widens the shape, so that only one
+        # index array is alive at a time
+        if np.broadcast_shapes(idx.shape, np.shape(a)) == idx.shape:
+            idx *= size
+            idx += a
+        else:
+            idx = idx * size + a
     return table.reshape(-1)[idx]
 
 

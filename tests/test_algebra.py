@@ -76,10 +76,13 @@ def test_compose_reads_tables_at_flat_indices(data):
     element = st.integers(0, size - 1)
     values = data.draw(st.lists(element, min_size=size**arity, max_size=size**arity))
     table = np.array(values, dtype=np.uint8)
-    # on every cell at once, the table comes back unchanged
-    whole = compose(table, size, cell_digits(size, arity))
+    # on every cell at once, the table comes back unchanged, and so do the
+    # arguments, which the index is accumulated next to
+    digits = cell_digits(size, arity)
+    whole = compose(table, size, digits)
     assert whole.dtype == np.uint8
     assert np.array_equal(np.ravel(whole), table)
+    assert np.array_equal(digits, cell_digits(size, arity))
     # argument arrays of shapes (n, 1), (n,), ... broadcast to a grid, and a
     # generator of arguments is read one array at a time
     n = data.draw(st.integers(1, 4))

@@ -112,6 +112,7 @@ def test_congruence_canonical_form():
     assert c.num_blocks == 2
     assert not c.is_zero and not c.is_one
     assert list(c.pairs()) == [(0, 2), (1, 3)]
+    assert c.pair_array().tolist() == [[0, 0], [0, 2], [1, 1], [1, 3], [2, 0], [2, 2], [3, 1], [3, 3]]
 
 
 def test_meet_and_refines():
