@@ -229,19 +229,16 @@ def quotient_algebra(
     parent: FiniteAlgebra, cong: Congruence, name: str | None = None
 ) -> QuotientResult:
     """Quotient by a congruence; class i is the i-th block by least element."""
-    reps = sorted(set(cong.block_of))
-    class_of = {rep: i for i, rep in enumerate(reps)}
-    to_class = tuple(class_of[cong.block_of[x]] for x in range(parent.size))
-    rep_of = np.array(reps, dtype=np.int64)
-    class_of_x = np.array(to_class, dtype=np.int64)
+    # block labels are least elements, so sorting them orders the classes
+    reps, to_class = np.unique(np.array(cong.block_of, dtype=np.int64), return_inverse=True)
     ops = []
     for op in parent.operations:
         # the class of the parent's value at the representatives of each cell
-        args = rep_of[cell_digits(len(reps), op.arity)]
-        value = class_of_x[compose(parent.op_array(op.name), parent.size, args)]
+        args = reps[cell_digits(len(reps), op.arity)]
+        value = to_class[compose(parent.op_array(op.name), parent.size, args)]
         ops.append(Operation(op.name, op.arity, tuple(np.ravel(value).tolist())))
     alg = FiniteAlgebra(name or f"{parent.name}/~", len(reps), ops)
-    return QuotientResult(alg, to_class, tuple(reps))
+    return QuotientResult(alg, tuple(to_class.tolist()), tuple(reps.tolist()))
 
 
 def commutator(algebra: FiniteAlgebra, alpha: Congruence, beta: Congruence) -> Congruence:

@@ -573,7 +573,7 @@ def interpolate(func: FiniteFunction, fld: FiniteField) -> FieldPolynomial:
     q = fld.order
     m = func.arity
     w = _vandermonde_inverse(fld)
-    coeffs = func.as_array().astype(np.int64).reshape((q,) * m) if m else func.as_array().astype(np.int64)
+    coeffs = func.as_array().astype(np.int64).reshape((q,) * m)
     for axis in range(m):
         moved = np.moveaxis(coeffs, axis, 0)
         new = np.zeros_like(moved)
@@ -586,9 +586,7 @@ def interpolate(func: FiniteFunction, fld: FiniteField) -> FieldPolynomial:
             new[j] = row
         coeffs = np.moveaxis(new, 0, axis)
     pairs = []
-    it = np.ndindex(*coeffs.shape) if m else [()]
-    for exps in it:
-        c = int(coeffs[exps]) if m else int(coeffs)
+    for exps, c in zip(cell_digits(q, m).T.tolist(), coeffs.reshape(-1).tolist()):
         if c:
             pairs.append((Monomial.make({i + 1: e for i, e in enumerate(exps) if e}), c))
     return FieldPolynomial.make(fld, pairs)
