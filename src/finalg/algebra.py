@@ -53,11 +53,12 @@ def compose(table: np.ndarray, size: int, args: Iterable) -> np.ndarray:
     has the broadcast shape of the arguments and the table's dtype, so
     callers doing arithmetic on a uint8 table's result must cast it first.
     """
-    idx = np.zeros((), dtype=np.int64)
+    idx = np.int64(0)
     for a in args:
-        # accumulate in place unless a widens the shape, so that only one
-        # index array is alive at a time
-        if np.broadcast_shapes(idx.shape, np.shape(a)) == idx.shape:
+        shape = np.shape(a)
+        # accumulate in place when a matches trailing axes of idx, so that
+        # only one index array is alive at a time
+        if len(shape) <= idx.ndim and idx.shape[idx.ndim - len(shape) :] == shape:
             idx *= size
             idx += a
         else:

@@ -11,7 +11,8 @@ universe is one of the congruences: generate a congruence there from
 the diagonal pairs of the other, then read off which pairs collapse
 onto the diagonal.  That pair subalgebra is never wrapped as an algebra:
 its operations are int64 grids of pair ids, built with
-finalg.algebra.compose, so commutators have no order limit.  The lower
+finalg.algebra.compose, so commutators add no order limit of their own.
+A k-ary operation's grid has (number of pairs)**k entries.  The lower
 central series iterates the commutator with the full congruence, which
 yields the nilpotency class.
 """
