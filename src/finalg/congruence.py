@@ -70,10 +70,9 @@ class Congruence:
 
     def pairs(self) -> Iterator[tuple[int, int]]:
         """Related pairs (a, b) with a < b."""
-        for a in range(self.size):
-            for b in range(a + 1, self.size):
-                if self.block_of[a] == self.block_of[b]:
-                    yield a, b
+        for a, b in self.pair_array().tolist():
+            if a < b:
+                yield a, b
 
     def pair_array(self) -> np.ndarray:
         """Every related pair (a, b), a == b included, as an (n, 2) int64
@@ -93,10 +92,7 @@ class Congruence:
         return True
 
     def meet(self, other: "Congruence") -> "Congruence":
-        raw = [
-            self.block_of[x] * self.size + other.block_of[x] for x in range(self.size)
-        ]
-        return Congruence.from_blocks(self.size, raw)
+        return Congruence.from_blocks(self.size, list(zip(self.block_of, other.block_of)))
 
     def __repr__(self) -> str:
         body = "|".join(",".join(map(str, blk)) for blk in self.blocks())
