@@ -291,6 +291,7 @@ def algebras_with_pairs(draw):
 def test_quotient_algebra_agrees_with_its_per_cell_definition(case):
     parent, pairs = case
     q = quotient_algebra(parent, congruence_from_pairs(parent, pairs))
+    assert all(type(v) is int for v in q.to_class + q.representative)
     for op in parent.operations:
         table = q.algebra.operation(op.name).table
         assert all(type(v) is int for v in table)
