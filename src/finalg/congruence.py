@@ -2,9 +2,10 @@
 
 A congruence is stored as a canonical partition: ``block_of[x]`` is the
 least element of the block containing ``x``.  Generated congruences use
-union-find with a worklist that re-substitutes each newly merged pair
-into every operation one argument position at a time; iterating that to
-a fixpoint yields full compatibility.
+union-find in rounds: each pair that merged two classes is substituted
+into every operation one argument position at a time, and the distinct
+pairs of classes that its images still separate are merged in the next
+round; iterating that to a fixpoint yields full compatibility.
 
 The binary commutator is computed inside the subalgebra of A x A whose
 universe is one of the congruences: generate a congruence there from
@@ -18,7 +19,6 @@ yields the nilpotency class.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -142,23 +142,45 @@ def congruence_from_pairs(
 
 
 def _congruence_from_grids(
-    size: int, grids: Sequence[np.ndarray], pairs: Iterable[tuple[int, int]]
+    size: int,
+    grids: Sequence[np.ndarray],
+    pairs: Iterable[tuple[int, int]],
+    chunk: int = 1 << 18,
 ) -> Congruence:
     """Least partition of range(size) containing the pairs and compatible
-    with operations given as grids of shape (size,) * arity."""
+    with operations given as grids of shape (size,) * arity.
+
+    Works in rounds.  A round merges the pending pairs, substitutes each
+    pair that joined two classes into every argument position of every
+    operation, and keeps as the next round's pending pairs the distinct
+    pairs of classes that the images still separate.  Substitutions go
+    through numpy at most chunk image entries at a time.
+    """
     uf = _UnionFind(size)
-    work: deque[tuple[int, int]] = deque(pairs)
+    slots = [(grid, pos) for grid in grids for pos in range(grid.ndim)]
+    # elements per numpy step; each has grid.size // size images per slot
+    step = max(1, chunk * size // max(sum(grid.size for grid, _ in slots), 1))
+    classes = size
+    work = list(pairs)
     while work:
-        a, b = work.popleft()
-        if not uf.union(a, b):
-            continue
-        for grid in grids:
-            for pos in range(grid.ndim):
-                left = np.take(grid, a, axis=pos).reshape(-1)
-                right = np.take(grid, b, axis=pos).reshape(-1)
-                for x, y in zip(left.tolist(), right.tolist()):
-                    if uf.find(x) != uf.find(y):
-                        work.append((x, y))
+        joined = [(a, b) for a, b in work if uf.union(a, b)]
+        classes -= len(joined)
+        if not joined or not slots or classes == 1:
+            break
+        label = np.array([uf.find(x) for x in range(size)], dtype=np.int64)
+        firsts, seconds = np.array(joined, dtype=np.int64).T
+
+        def images(elements: np.ndarray) -> np.ndarray:
+            taken = [np.take(grid, elements, axis=pos).reshape(-1) for grid, pos in slots]
+            return label[np.concatenate(taken)]
+
+        pending: set[int] = set()
+        for lo in range(0, len(joined), step):
+            left = images(firsts[lo : lo + step])
+            right = images(seconds[lo : lo + step])
+            apart = left != right
+            pending.update((left[apart] * size + right[apart]).tolist())
+        work = [divmod(code, size) for code in pending]
     return Congruence.from_blocks(size, [uf.find(x) for x in range(size)])
 
 
@@ -419,5 +441,5 @@ def relation_preservation_witness(
         ok = member(out)
         if not ok.all():
             at = int(np.flatnonzero(~ok)[0])
-            return tuple(tuple(cols[int(p[at])]) for p in picks)
+            return tuple(tuple(cols[int(p[at])].tolist()) for p in picks)
     return None

@@ -247,7 +247,22 @@ def verify_expansion(
 ) -> ExpansionReport:
     """Four checks: series congruences survive, the new operations form
     the expected abelian group, the per-level alignment relations are
-    preserved, and nilpotency stays within the series length."""
+    preserved, and nilpotency stays within the series length.
+
+    The level-i alignment relation is R = {(x1, x2, x3, x4) : x1 ≡ x2 at
+    level i, x4 ≡ d(x1, x2, x3) at level i-1}, listed lexicographically.
+    It is checked on one row per triple of T = {(x1, x2, x3) : x1 ≡ x2
+    at level i}, the row whose x4 is the least element of its class, so
+    + costs |T|**2 choices of rows instead of |R|**2, with |R| = |T|
+    times the size of a level-(i-1) block.  For +, a choice x, y of T
+    fails when x + y leaves T or d(x) + d(y) and d(x + y) differ at
+    level i-1.  The verdict and the first failing rows are those of R:
+    while + and - preserve the level-(i-1) congruence, whether a choice
+    of R rows fails depends only on their triples, and each triple's
+    row here is its first in R.  If they break a series congruence, let
+    k be the first level they break: levels 1 to k still satisfy that
+    condition, and R fails at level k already, on rows whose images
+    leave x1 ≡ x2, so no later level is reached."""
     algebra = expanded.base
     size = algebra.size
     o = expanded.zero
@@ -312,6 +327,7 @@ def verify_expansion(
 
     bad_witness = None
     bad_detail = ""
+    triples = cell_digits(size, 3).T
     for i in range(1, len(series.congruences)):
         lower = np.array(series.congruences[i - 1].block_of, dtype=np.int64)
         upper = np.array(series.congruences[i].block_of, dtype=np.int64)
@@ -320,9 +336,9 @@ def verify_expansion(
             vals = compose(dgrid, size, cand[:, :3].T)
             return (upper[cand[:, 0]] == upper[cand[:, 1]]) & (lower[vals] == lower[cand[:, 3]])
 
-        # the relation's rows, in lexicographic order
-        cells = cell_digits(size, 4).T
-        tuples = cells[member_aligned(cells)]
+        # the first row of each triple of T, in lexicographic order
+        base = triples[upper[triples[:, 0]] == upper[triples[:, 1]]]
+        tuples = np.column_stack([base, lower[compose(dgrid, size, base.T)]])
 
         for table, arity, label in new_ops:
             hit = relation_preservation_witness(table, arity, size, tuples, member_aligned)

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 from finalg.algebra import CapExceeded, FiniteAlgebra, unflatten_index
 from finalg.clones import term_functions
 from finalg.polyclone import FieldPolynomial, PolySet
@@ -396,3 +398,37 @@ def span_by_enumeration(vectors: list[tuple[int, ...]], p: int, dim: int) -> set
     for v in vectors:
         span = {tuple((b + c * x) % p for b, x in zip(base, v)) for base in span for c in range(p)}
     return span
+
+
+def alignment_witness_by_full_relation(expanded, series, d) -> tuple[bool, str, tuple | None]:
+    """The alignment check of verify_expansion on every row of each level's
+    relation R = {(x1, x2, x3, x4) : x1 ~ x2 at level i, x4 ~ d(x1, x2, x3)
+    at level i-1}, rows listed lexicographically.
+
+    Returns the verdict, the detail, and the first choice of rows that +
+    (rows taken in pairs, first row major) or - maps out of R.
+    """
+    size = expanded.base.size
+    plus = expanded.plus_grid().astype(np.int64)
+    neg = expanded.neg_array().astype(np.int64)
+    dgrid = d.grid().astype(np.int64)
+    for i in range(1, len(series.congruences)):
+        lower = np.array(series.congruences[i - 1].block_of)
+        upper = np.array(series.congruences[i].block_of)
+
+        def member(rows):
+            vals = dgrid[rows[:, 0], rows[:, 1], rows[:, 2]]
+            return (upper[rows[:, 0]] == upper[rows[:, 1]]) & (lower[vals] == lower[rows[:, 3]])
+
+        rows = np.array(list(itertools.product(range(size), repeat=4)))
+        rows = rows[member(rows)]
+        for first in rows:
+            bad = np.flatnonzero(~member(plus[first, rows]))
+            if len(bad):
+                witness = (tuple(first.tolist()), tuple(rows[bad[0]].tolist()))
+                return False, f"operation + breaks the level-{i} alignment relation", witness
+        bad = np.flatnonzero(~member(neg[rows]))
+        if len(bad):
+            witness = (tuple(rows[bad[0]].tolist()),)
+            return False, f"operation - breaks the level-{i} alignment relation", witness
+    return True, "difference alignment survives + and - at every level", None

@@ -77,8 +77,34 @@ class TestAnalyze:
         assert report["results"]["nilpotency_class"] == 1
         assert report["results"]["congruences"] == 5
 
+    def test_sixteen_element_ternary_operation_is_analyzed(self, capsys, tmp_path):
+        # x - y + z mod 16 alone: a ternary operation on 256-element pair
+        # subalgebras, which the congruence worklist must not flood
+        table = [(a - b + c) % 16 for a in range(16) for b in range(16) for c in range(16)]
+        path = write_algebra(tmp_path, "p16", 16, [{"name": "p", "arity": 3, "table": table}])
+        code, report, _ = run_cli(capsys, "analyze", path)
+        assert code == EXIT_OK
+        assert report["results"]["nilpotency_class"] == 1
+        assert report["wall_time_seconds"] < 20.0
+
 
 class TestExpand:
+    def test_sixteen_element_group_passes_every_check(self, capsys, tmp_path):
+        code, report, _ = run_cli(capsys, "expand", cyclic_path(tmp_path, 16))
+        assert code == EXIT_OK
+        checks = report["results"]["checks"]
+        assert [c["name"] for c in checks] == [
+            "series-congruences-preserved",
+            "group-structure",
+            "alignment-relations-preserved",
+            "nilpotency-bound",
+        ]
+        assert all(c["passed"] for c in checks)
+        assert report["results"]["group_factors"] == [2, 2, 2, 2]
+        # the alignment check alone took minutes when it ran on the full
+        # relation, at 32,768 rows on the top level
+        assert report["wall_time_seconds"] < 30.0
+
     def test_z4_gains_a_klein_addition(self, capsys, tmp_path):
         out = tmp_path / "z4.expanded.json"
         code, report, _ = run_cli(

@@ -9,6 +9,7 @@ from finalg.algebra import parse_algebra
 from finalg.catalog import load_example
 from finalg.congruence import (
     Congruence,
+    _congruence_from_grids,
     central_series,
     central_series_from_lower_central,
     commutator,
@@ -28,7 +29,7 @@ from finalg.congruence import (
     zero_congruence,
 )
 
-from oracles import brute_congruences, tc_commutator_blocks
+from oracles import brute_congruences, respects_operations, tc_commutator_blocks
 
 
 def as_blockmap(cong: Congruence) -> tuple[int, ...]:
@@ -301,6 +302,37 @@ def test_quotient_algebra_agrees_with_its_per_cell_definition(case):
         assert list(table) == want
 
 
+@st.composite
+def algebras_with_generators(draw):
+    size = draw(st.integers(2, 4))
+    element = st.integers(0, size - 1)
+    arities = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    tables = [draw(st.lists(element, min_size=size**k, max_size=size**k)) for k in arities]
+    ops = [{"name": f"f{i}", "arity": k, "table": t} for i, (k, t) in enumerate(zip(arities, tables))]
+    pairs = draw(st.lists(st.tuples(element, element).filter(lambda p: p[0] != p[1]), min_size=1, max_size=3))
+    return parse_algebra({"name": "random", "size": size, "operations": ops}), pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(algebras_with_generators(), st.sampled_from([1, 5, 1 << 18]))
+def test_generated_congruence_is_the_least_one_holding_the_pairs(case, chunk):
+    algebra, pairs = case
+    size = algebra.size
+    grids = [
+        algebra.op_array(op.name).reshape((size,) * op.arity)
+        for op in algebra.operations
+        if op.arity >= 1
+    ]
+    # chunk bounds the image entries per numpy step; 1 and 5 split rounds
+    got = _congruence_from_grids(size, grids, pairs, chunk=chunk)
+    assert got == congruence_from_pairs(algebra, pairs)
+    assert respects_operations(algebra, got.block_of)
+    above = [Congruence.from_blocks(size, part) for part in brute_congruences(algebra)]
+    above = [c for c in above if all(c.related(a, b) for a, b in pairs)]
+    assert got in above
+    assert all(got.refines(c) for c in above)
+
+
 def test_uniformity():
     assert has_uniform_blocks(principal_congruence(load_example("d4"), 0, 2))
     assert all(has_uniform_blocks(c) for c in congruence_lattice(load_example("d4")))
@@ -337,6 +369,7 @@ def test_relation_preservation_witness_basics():
 
     bad = relation_preservation_witness(xor, 2, 2, skew, member_skew)
     assert bad == ((0, 1), (0, 1))
+    assert all(type(v) is int for row in bad for v in row)
 
 
 @pytest.mark.parametrize("name", ["z4", "m", "d4", "q8"])

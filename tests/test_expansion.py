@@ -1,3 +1,6 @@
+import random
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,8 @@ from finalg.expansion import (
     verify_expansion,
 )
 from finalg.malcev import find_malcev_term, plus_minus_o
+
+from oracles import alignment_witness_by_full_relation
 
 
 def trivial_algebra() -> FiniteAlgebra:
@@ -234,8 +239,6 @@ def test_expand_rejects_unverified_witness():
     z4 = load_example("z4")
     witness = find_malcev_term(z4)
     series = central_series(z4, maximal_congruence_chain(z4))
-    from dataclasses import replace
-
     with pytest.raises(ValueError, match="verified"):
         expand_with_group(z4, series, 0, replace(witness, verified=False))
     with pytest.raises(ValueError, match="zero"):
@@ -265,3 +268,66 @@ def test_m_expansion_reproduces_its_own_addition():
     assert tuple(result.expanded.minus.as_array()) == m.operation("neg").table
     exported = result.expanded.as_algebra()
     assert [op.name for op in exported.operations] == ["+", "mul", "neg", "zero"]
+
+
+@pytest.mark.parametrize("name", ["z4", "z8", "z2z2", "d4", "q8", "m"])
+def test_alignment_check_matches_the_full_relation(name):
+    result = expand_pipeline(load_example(name))
+    expanded, series, witness = result.expanded, result.series, result.witness
+    size = expanded.base.size
+    plus = expanded.plus_grid().astype(np.int64)
+    neg = expanded.neg_array().astype(np.int64)
+    rng = random.Random(name)
+    cases = []
+    for _ in range(6):
+        # x + y + c(x, y) and -x + c(x) keep every series congruence when
+        # c takes values in the level-j block of zero and depends only on
+        # the level-(j-1) classes of its arguments; at j = 1 that is any c
+        # valued in the level-1 block
+        j = rng.randrange(1, len(series.congruences))
+        outer = np.array(series.congruences[j].block_of)
+        block = np.flatnonzero(outer == outer[expanded.zero])
+        inner = np.array(series.congruences[j - 1].block_of)
+        pick = {}
+        shift = np.array(
+            [pick.setdefault((inner[x], inner[y]), rng.choice(block)) for x in range(size) for y in range(size)]
+        ).reshape(size, size)
+        cases.append((plus[plus, shift], neg))
+        cases.append((plus, plus[neg, shift[:, expanded.zero]]))
+    level1 = np.array(series.congruences[1].block_of)
+    flat = plus.reshape(-1)
+    cells = [
+        (a, b) for a in range(size * size) for b in range(a) if level1[flat[a]] != level1[flat[b]]
+    ]
+    for a, b in rng.sample(cells, 6):
+        # swapping values from two level-1 classes breaks that congruence:
+        # a cell that differs from a in one coordinate, within its level-1
+        # block, and is not b keeps a value on a's old side
+        swapped = flat.copy()
+        swapped[[a, b]] = swapped[[b, a]]
+        cases.append((swapped.reshape(size, size), neg))
+    preserved_failures = broken = 0
+    for new_plus, new_neg in cases:
+        mutated = replace(
+            expanded,
+            plus=FiniteFunction(2, size, new_plus.astype(np.uint8).tobytes()),
+            minus=FiniteFunction(1, size, new_neg.astype(np.uint8).tobytes()),
+        )
+        report = verify_expansion(mutated, series, witness)
+        assert [c.name for c in report.checks] == [
+            "series-congruences-preserved",
+            "group-structure",
+            "alignment-relations-preserved",
+            "nilpotency-bound",
+        ]
+        got = report.check("alignment-relations-preserved")
+        want = alignment_witness_by_full_relation(mutated, series, witness)
+        assert (got.passed, got.detail, got.witness) == want
+        if got.witness is not None:
+            assert all(type(v) is int for row in got.witness for v in row)
+        if report.check("series-congruences-preserved").passed:
+            preserved_failures += not got.passed
+        else:
+            broken += 1
+    assert preserved_failures > 0
+    assert broken == 6
