@@ -289,9 +289,10 @@ def test_alignment_check_matches_the_full_relation(name):
         block = np.flatnonzero(outer == outer[expanded.zero])
         inner = np.array(series.congruences[j - 1].block_of)
         pick = {}
-        shift = np.array(
-            [pick.setdefault((inner[x], inner[y]), rng.choice(block)) for x in range(size) for y in range(size)]
-        ).reshape(size, size)
+        shift = np.array([
+            [pick.setdefault((inner[x], inner[y]), rng.choice(block)) for y in range(size)]
+            for x in range(size)
+        ])
         cases.append((plus[plus, shift], neg))
         cases.append((plus, plus[neg, shift[:, expanded.zero]]))
     level1 = np.array(series.congruences[1].block_of)
@@ -300,9 +301,10 @@ def test_alignment_check_matches_the_full_relation(name):
         (a, b) for a in range(size * size) for b in range(a) if level1[flat[a]] != level1[flat[b]]
     ]
     for a, b in rng.sample(cells, 6):
-        # swapping values from two level-1 classes breaks that congruence:
-        # a cell that differs from a in one coordinate, within its level-1
-        # block, and is not b keeps a value on a's old side
+        # swapping values from two level-1 classes breaks that congruence
+        # (a cell that differs from a in one coordinate, within its level-1
+        # block, and is not b keeps a value on a's old side); the alignment
+        # check must still give the full relation's answer
         swapped = flat.copy()
         swapped[[a, b]] = swapped[[b, a]]
         cases.append((swapped.reshape(size, size), neg))
