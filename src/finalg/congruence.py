@@ -128,6 +128,10 @@ class _UnionFind:
         return True
 
 
+# image entries per numpy step when generating a congruence
+_IMAGE_ENTRIES = 1 << 18
+
+
 def congruence_from_pairs(
     algebra: FiniteAlgebra, pairs: Iterable[tuple[int, int]]
 ) -> Congruence:
@@ -145,7 +149,6 @@ def _congruence_from_grids(
     size: int,
     grids: Sequence[np.ndarray],
     pairs: Iterable[tuple[int, int]],
-    chunk: int = 1 << 18,
 ) -> Congruence:
     """Least partition of range(size) containing the pairs and compatible
     with operations given as grids of shape (size,) * arity.
@@ -154,12 +157,12 @@ def _congruence_from_grids(
     pair that joined two classes into every argument position of every
     operation, and keeps as the next round's pending pairs the distinct
     pairs of classes that the images still separate.  Substitutions go
-    through numpy at most chunk image entries at a time.
+    through numpy at most _IMAGE_ENTRIES image entries at a time.
     """
     uf = _UnionFind(size)
     slots = [(grid, pos) for grid in grids for pos in range(grid.ndim)]
     # elements per numpy step; each has grid.size // size images per slot
-    step = max(1, chunk * size // max(sum(grid.size for grid, _ in slots), 1))
+    step = max(1, _IMAGE_ENTRIES * size // max(sum(grid.size for grid, _ in slots), 1))
     classes = size
     work = list(pairs)
     while work:

@@ -2,14 +2,14 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from finalg import congruence
 from finalg.algebra import parse_algebra
 from finalg.catalog import load_example
 from finalg.congruence import (
     Congruence,
-    _congruence_from_grids,
     central_series,
     central_series_from_lower_central,
     commutator,
@@ -309,16 +309,23 @@ def test_quotient_algebra_agrees_with_its_per_cell_definition(case):
 
 @settings(max_examples=200, deadline=None)
 @given(algebras_with_pairs(distinct=True), st.sampled_from([1, 5, 1 << 18]))
-def test_generated_congruence_is_the_least_one_holding_the_pairs(case, chunk):
+# only the images of the second pair, (1, 2), join {0, 1} and {2, 3}
+@example(
+    (
+        parse_algebra(
+            {"name": "f", "size": 4, "operations": [{"name": "f", "arity": 1, "table": [0, 0, 1, 2]}]}
+        ),
+        [(0, 1), (2, 3)],
+    ),
+    1,
+)
+def test_generated_congruence_is_the_least_one_holding_the_pairs(case, budget):
     algebra, pairs = case
     size = algebra.size
-    grids = [
-        algebra.op_array(op.name).reshape((size,) * op.arity)
-        for op in algebra.operations
-        if op.arity >= 1
-    ]
-    # chunk bounds the image entries per numpy step; 1 and 5 split rounds
-    got = _congruence_from_grids(size, grids, pairs, chunk=chunk)
+    # the budget bounds the image entries per numpy step; 1 and 5 split rounds
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(congruence, "_IMAGE_ENTRIES", budget)
+        got = congruence_from_pairs(algebra, pairs)
     assert got == congruence_from_pairs(algebra, pairs)
     assert respects_operations(algebra, got.block_of)
     above = [Congruence.from_blocks(size, part) for part in brute_congruences(algebra)]
