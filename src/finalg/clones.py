@@ -13,15 +13,25 @@ Two closure strategies share one result type:
   table lookup composes 1, 2 or 4 adjacent coordinates of the operand
   rows at once, through a table on lane codes (lane_codes, packed_table);
 
-* a span strategy for algebras all of whose operations are multilinear
-  over a designated abelian group operation (detected by table checks).
-  There the closure is the subgroup generated by finitely many
-  independent generators, and compositions only ever need to run over
-  generator tuples: f(sum n_i g_i, sum m_j h_j) expands by
-  multilinearity into a combination of the f(g_i, h_j).  This makes
-  closures with tens of thousands of members exact and cheap.  For a
-  prime exponent, membership is rank over F_p: the group detection,
-  coordinates and echelon form come from finalg.fields.
+* a span strategy for algebras with an abelian group operation plus
+  (additive_structure, by table checks) whose exponent is prime, or
+  under which every other operation is multilinear.  Every closure is
+  then a subgroup of the rows under plus, kept as independent
+  generators.  For a prime exponent p it is an F_p-subspace, the least
+  one holding the seeds and the mixed finite differences Delta^J g(0) of
+  each operation g along each multi-index J over its basis; these vanish
+  once |J| passes the degree of g (fields.polynomial_degree), so the
+  closure is exact at p**rank rows whatever the cap (A. Leibman,
+  "Polynomial mappings of groups", Israel J. Math. 129, 2002).  A
+  multilinear g needs one generator per argument slot only, and that
+  difference is the plain composition; a non-prime exponent needs the
+  whole signature multilinear and keeps the subgroup materialized.
+
+The cap bounds the rows a result materializes.  A span with a
+multilinear signature still counts its closure exactly past the cap; one
+with some operation that is not multilinear stops as soon as p**rank
+passes the cap and returns the breadth-first result for that cap
+instead, so capped answers are the breadth-first prefixes.
 """
 from __future__ import annotations
 
@@ -33,7 +43,15 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .algebra import App, Const, FiniteAlgebra, FiniteFunction, Term, Var, cell_digits, compose
-from .fields import PrimeSpan, abelian_group_info, group_coordinates, is_prime
+from .fields import (
+    PrimeSpan,
+    abelian_group_info,
+    coordinate_labels,
+    group_coordinates,
+    is_prime,
+    newton_weights,
+    polynomial_degree,
+)
 
 DEFAULT_CAP = 1 << 20
 BATCH_ENTRIES = 4_000_000  # table entries composed in one numpy step
@@ -44,13 +62,19 @@ Recipe = tuple
 
 @dataclass
 class SpanStructure:
-    """An abelian group operation under which every other op is multilinear."""
+    """An abelian group operation of the algebra.
+
+    Closures use it when every other operation is multilinear over it, or
+    when its exponent is prime; nonlinear names the operations of positive
+    arity, other than plus, that are not multilinear over it.
+    """
 
     plus_name: str
     plus: np.ndarray  # (size, size)
     zero: int
     neg: np.ndarray  # (size,)
     exponent: int
+    nonlinear: tuple[str, ...] = ()
 
     @property
     def prime(self) -> bool:
@@ -70,27 +94,37 @@ def _is_multilinear(grid: np.ndarray, plus: np.ndarray) -> bool:
     return True
 
 
-def additive_structure(algebra: FiniteAlgebra) -> SpanStructure | None:
-    """Detect a group operation making the whole signature multilinear."""
+def abelian_group_operations(algebra: FiniteAlgebra) -> Iterator[SpanStructure]:
+    """Each binary operation that is an abelian group, in signature order."""
     for op in algebra.operations:
         if op.arity != 2:
             continue
         tab = algebra.op_array(op.name).reshape(algebra.size, algebra.size)
         info = abelian_group_info(tab)
-        if info is None:
-            continue
-        zero, neg, exponent = info
-        ok = True
-        for other in algebra.operations:
-            if other.name == op.name or other.arity == 0:
-                continue
-            grid = algebra.op_array(other.name).reshape((algebra.size,) * other.arity)
-            if not _is_multilinear(grid, tab):
-                ok = False
-                break
-        if ok:
-            return SpanStructure(op.name, tab, zero, neg, exponent)
-    return None
+        if info is not None:
+            zero, neg, exponent = info
+            yield SpanStructure(op.name, tab, zero, neg, exponent)
+
+
+def additive_structure(algebra: FiniteAlgebra) -> SpanStructure | None:
+    """The first abelian group operation making the whole signature
+    multilinear, else the first of prime exponent, else None."""
+    first_prime = None
+    for span in abelian_group_operations(algebra):
+        span.nonlinear = tuple(
+            other.name
+            for other in algebra.operations
+            if other.name != span.plus_name
+            and other.arity > 0
+            and not _is_multilinear(
+                algebra.op_array(other.name).reshape((algebra.size,) * other.arity), span.plus
+            )
+        )
+        if not span.nonlinear:
+            return span
+        if first_prime is None and span.prime:
+            first_prime = span
+    return first_prime
 
 
 @dataclass
@@ -143,10 +177,33 @@ class ClosureResult:
         core_memo: dict[int, Term] = {}
         plus = self.span.plus_name if self.span is not None else None
 
+        def total(parts: list[Term]) -> Term:
+            # exponent-many copies of any function sum to the zero function
+            parts = parts or [build_core(0)] * self.span.exponent
+            t = parts[0]
+            for part in parts[1:]:
+                t = App(plus, (t, part))
+            return t
+
+        def difference(recipe: Recipe) -> Term:
+            _, name, entries = recipe
+            arity = self.algebra.operation(name).arity
+            parts: list[Term] = []
+            for ts, weight in _difference_terms(entries, self.span.exponent):
+                args: list[list[Term]] = [[] for _ in range(arity)]
+                for (slot, cid, _), t in zip(entries, ts):
+                    args[slot].extend([build_core(cid)] * t)
+                parts.extend([App(name, tuple(total(a) for a in args))] * weight)
+            return total(parts)
+
         def build_core(cid: int) -> Term:
             if cid in core_memo:
                 return core_memo[cid]
-            t = self._term_from(self.core_recipes[cid], build_core, build_core)
+            recipe = self.core_recipes[cid]
+            if recipe[0] == "diff":
+                t = difference(recipe)
+            else:
+                t = self._term_from(recipe, build_core, build_core)
             core_memo[cid] = t
             return t
 
@@ -157,16 +214,7 @@ class ClosureResult:
             if recipe[0] == "core":
                 t = build_core(recipe[1])
             elif recipe[0] == "lincomb":
-                parts: list[Term] = []
-                for cid, mult in recipe[1]:
-                    g = build_core(cid)
-                    parts.extend([g] * mult)
-                if not parts:
-                    g = build_core(self.generator_core_ids[0])
-                    parts = [g] * self.span.exponent
-                t = parts[0]
-                for part in parts[1:]:
-                    t = App(plus, (t, part))
+                t = total([build_core(cid) for cid, mult in recipe[1] for _ in range(mult)])
             else:
                 t = self._term_from(recipe, build, build)
             memo[i] = t
@@ -450,6 +498,99 @@ def _explicit_closure(
     )
 
 
+class _PastCap(Exception):
+    """A closure with a nonlinear operation reached a rank past its cap."""
+
+
+def _multi_indices(k: int, lo: int, hi: int, degree: int, p: int) -> Iterator[tuple]:
+    """The multi-indices of one round for a k-ary operation of a degree.
+
+    A multi-index J spreads basis positions below hi over the argument
+    slots: a tuple of (slot, position, multiplicity), sorted by slot and
+    position, with multiplicities 1..p-1 adding up to at most degree.  Only
+    those touching a position >= lo are listed, fewest entries first, then
+    lexicographically; the empty J, the value at the zero function, comes
+    first when lo is 0.
+    """
+    if lo == 0:
+        yield ()
+    cells = [(slot, pos) for slot in range(k) for pos in range(hi)]
+    for t in range(1, degree + 1):
+        for chosen in itertools.combinations(cells, t):
+            if all(pos < lo for _, pos in chosen):
+                continue
+            for mults in itertools.product(range(1, p), repeat=t):
+                if sum(mults) <= degree:
+                    yield tuple((slot, pos, m) for (slot, pos), m in zip(chosen, mults))
+
+
+def _batched(indices: Iterator[tuple], terms: int) -> Iterator[list[tuple]]:
+    """Consecutive runs of multi-indices with at most terms difference
+    terms in all, or a single multi-index that has more."""
+    batch: list[tuple] = []
+    count = 0
+    for entries in indices:
+        n = math.prod(m + 1 for _, _, m in entries)
+        if batch and count + n > terms:
+            yield batch
+            batch, count = [], 0
+        batch.append(entries)
+        count += n
+    if batch:
+        yield batch
+
+
+def _difference_terms(entries: tuple, p: int) -> Iterator[tuple[tuple, int]]:
+    """(T, weight) for the terms of Delta^J g(0) = sum over T <= J of
+    prod_e (-1)^(J_e - T_e) binom(J_e, T_e) g(sum_e T_e b_e), weights mod p."""
+    newton = newton_weights(p)
+    for ts in itertools.product(*(range(m + 1) for _, _, m in entries)):
+        yield ts, math.prod(int(newton[m, t]) for (_, _, m), t in zip(entries, ts)) % p
+
+
+def _difference_rows(
+    tab: np.ndarray,
+    k: int,
+    size: int,
+    batch: list[tuple],
+    basis: np.ndarray,
+    coord_table: np.ndarray,
+    labels: np.ndarray,
+    p: int,
+) -> np.ndarray:
+    """Delta^J g(0) of the k-ary table g for each multi-index J of batch,
+    as rows of labels.
+
+    basis holds the coordinates of the basis rows, shape (r, wid, dim);
+    labels is the inverse of coord_table (fields.coordinate_labels).  The
+    multi-indices with the same multiplicities share their terms T <= J
+    and weights, and are evaluated together.
+    """
+    place = p ** np.arange(basis.shape[2])
+    out = np.empty((len(batch), basis.shape[1]), dtype=np.uint8)
+    groups: dict[tuple, list[int]] = {}
+    for n, entries in enumerate(batch):
+        groups.setdefault(tuple(m for _, _, m in entries), []).append(n)
+    for mults, members in groups.items():
+        terms = list(_difference_terms(batch[members[0]], p))
+        ts = np.array([t for t, _ in terms], dtype=np.int64).reshape(len(terms), len(mults))
+        weights = np.array([w for _, w in terms], dtype=np.int64)
+        js = np.array([batch[n] for n in members], dtype=np.int64).reshape(len(members), -1, 3)
+
+        def argument(slot: int) -> np.ndarray:
+            # sum_e T_e b_e over the entries e of J in this slot, (J, T, wid, dim)
+            acc = np.zeros((len(members), len(terms)) + basis.shape[1:], dtype=np.int64)
+            for e in range(len(mults)):
+                coef = (js[:, e, 0] == slot)[:, None] * ts[None, :, e]
+                acc += coef[:, :, None, None] * basis[js[:, e, 1]][:, None]
+            return labels[(acc % p) @ place]
+
+        values = compose(tab, size, (argument(slot) for slot in range(k)))
+        diffs = (coord_table[values] * weights[:, None, None]).sum(axis=1) % p
+        out[members] = labels[diffs @ place]
+    return out
+
+
 def _span_closure_prime(
     algebra: FiniteAlgebra,
     arity: int,
@@ -457,21 +598,33 @@ def _span_closure_prime(
     cap: int,
     span: SpanStructure,
 ) -> ClosureResult:
+    """The closure as an F_p-span, for a plus of prime exponent p.
+
+    Every closure is then a subspace V of the rows, and V is the least one
+    holding the seeds and, for each operation g and each multi-index J over
+    a basis of V, the mixed difference Delta^J g(0).  These vanish once |J|
+    passes the degree of g (fields.polynomial_degree), so rounds evaluate
+    only the multi-indices that touch a basis row new in the previous round
+    (_multi_indices).  A multilinear g needs only one basis row per slot,
+    and that difference is the plain composition.
+
+    When some operation is not multilinear and p**rank passes the cap, the
+    breadth-first closure answers instead, as soon as that rank is reached.
+    """
     size = algebra.size
     wid = size**arity
     p = span.exponent
     # (A, plus) as an F_p vector space, for membership tests
     coord_table = group_coordinates(span.plus, span.zero, p)
+    labels = coordinate_labels(coord_table, p)
     echelon = PrimeSpan(p)
 
-    # generator discovery: every registered row is a core function; those
-    # outside the span so far are generators, and compositions only need
-    # to run over generator tuples that involve a generator new this round
+    # every registered row is a core function; those outside the span so
+    # far are generators, the basis the differences run over
     core_rows: list[np.ndarray] = []
     core_recipes: list[Recipe] = []
     core_index: dict[bytes, int] = {}
     gens: list[int] = []
-    new_gens: list[int] = []
 
     def register(row: np.ndarray, recipe: Recipe) -> None:
         key = row.tobytes()
@@ -483,23 +636,42 @@ def _span_closure_prime(
         core_recipes.append(recipe)
         if echelon.add(coord_table[row].reshape(-1)):
             gens.append(cid)
-            new_gens.append(cid)
-
-    for row, recipe in seeds:
-        register(row, recipe)
+            if span.nonlinear and p ** len(gens) > cap:
+                raise _PastCap
 
     ops = _composing_ops(algebra, span.plus_name)
-    while new_gens:
-        # the generators new last round are the tail of gens
-        lo, hi = len(gens) - len(new_gens), len(gens)
-        new_gens = []
-        for name, k, tab in ops:
-            for pos in fresh_tuples(lo, hi, k):
-                combo = tuple(gens[i] for i in pos)
-                register(compose(tab, size, (core_rows[g] for g in combo)), ("op", name, combo))
-
-    if not core_rows:
-        return _empty_result(algebra, arity, "span")
+    degrees = {
+        name: polynomial_degree(tab, k, coord_table, p)
+        for name, k, tab in ops
+        if name in span.nonlinear
+    }
+    try:
+        for row, recipe in seeds:
+            register(row, recipe)
+        if not core_rows:
+            return _empty_result(algebra, arity, "span")
+        lo, hi = 0, len(gens)
+        while True:
+            # with no basis row yet only the empty J runs, reading none
+            rows = [core_rows[g] for g in gens[:hi]] or [np.full(wid, span.zero, dtype=np.uint8)]
+            basis = coord_table[np.stack(rows)]
+            for name, k, tab in ops:
+                if name in degrees:
+                    indices = _multi_indices(k, lo, hi, degrees[name], p)
+                    for batch in _batched(indices, BATCH_ENTRIES // (8 * basis[0].size)):
+                        diffs = _difference_rows(tab, k, size, batch, basis, coord_table, labels, p)
+                        for entries, row in zip(batch, diffs):
+                            recipe = tuple((slot, gens[i], m) for slot, i, m in entries)
+                            register(row, ("diff", name, recipe))
+                else:
+                    for pos in fresh_tuples(lo, hi, k):
+                        combo = tuple(gens[i] for i in pos)
+                        register(compose(tab, size, (core_rows[g] for g in combo)), ("op", name, combo))
+            if len(gens) == hi:
+                break
+            lo, hi = hi, len(gens)
+    except _PastCap:
+        return _explicit_closure(algebra, arity, seeds, cap)
 
     exact = p ** len(gens)
     limit = min(exact, cap)
@@ -685,7 +857,9 @@ def _close(
             cache[key] = result
             return result
         if strategy == "span":
-            raise ValueError("no abelian group operation with a multilinear signature")
+            raise ValueError(
+                "no abelian group operation of prime exponent or with a multilinear signature"
+            )
     elif strategy == "span":
         raise ValueError("the span strategy does not track composition depth")
     result = _explicit_closure(algebra, arity, seeds, cap, depth_cap)

@@ -11,11 +11,11 @@ The binary commutator is computed inside the subalgebra of A x A whose
 universe is one of the congruences: generate a congruence there from
 the diagonal pairs of the other, then read off which pairs collapse
 onto the diagonal.  That pair subalgebra is never wrapped as an algebra:
-its operations are int64 grids of pair ids, built with
-finalg.algebra.compose, so commutators add no order limit of their own.
-A k-ary operation's grid has (number of pairs)**k entries.  The lower
-central series iterates the commutator with the full congruence, which
-yields the nilpotency class.
+its operations are grids of pair ids, in the smallest signed type that
+holds them, built with finalg.algebra.compose, so commutators add no
+order limit of their own.  A k-ary operation's grid has
+(number of pairs)**k entries.  The lower central series iterates the
+commutator with the full congruence, which yields the nilpotency class.
 """
 from __future__ import annotations
 
@@ -175,7 +175,8 @@ def _congruence_from_grids(
 
         def images(elements: np.ndarray) -> np.ndarray:
             taken = [np.take(grid, elements, axis=pos).reshape(-1) for grid, pos in slots]
-            return label[np.concatenate(taken)]
+            # grids may hold small integer types, which index more slowly
+            return label[np.concatenate(taken, dtype=np.intp)]
 
         pending: set[int] = set()
         for lo in range(0, len(joined), step):
@@ -275,7 +276,9 @@ def commutator(algebra: FiniteAlgebra, alpha: Congruence, beta: Congruence) -> C
     size = algebra.size
     members = beta.pair_array()
     m = len(members)
-    pair_id = np.full((size, size), -1, dtype=np.int64)
+    # pair ids in the smallest signed type that holds m and the -1 sentinel,
+    # since each k-ary grid has m**k of them
+    pair_id = np.full((size, size), -1, dtype=np.min_scalar_type(-m - 1))
     pair_id[members[:, 0], members[:, 1]] = np.arange(m)
     grids = []
     for op in algebra.operations:
@@ -285,9 +288,15 @@ def commutator(algebra: FiniteAlgebra, alpha: Congruence, beta: Congruence) -> C
         table = algebra.op_array(op.name)
         # argument i of the grid runs along axis i
         axes = [(m,) + (1,) * (k - 1 - i) for i in range(k)]
-        firsts = compose(table, size, (members[:, 0].reshape(shape) for shape in axes))
-        seconds = compose(table, size, (members[:, 1].reshape(shape) for shape in axes))
-        grids.append(pair_id[firsts, seconds])
+        ends = [[members[:, c].reshape(shape) for shape in axes] for c in (0, 1)]
+        # a slab of first arguments at a time bounds the int64 indices
+        # compose builds to _IMAGE_ENTRIES
+        step = max(1, _IMAGE_ENTRIES // m ** (k - 1))
+        grid = np.empty((m,) * k, dtype=pair_id.dtype)
+        for lo in range(0, m, step):
+            firsts, seconds = (compose(table, size, [a[0][lo : lo + step]] + a[1:]) for a in ends)
+            grid[lo : lo + step] = pair_id[firsts, seconds]
+        grids.append(grid)
     diagonal = np.diagonal(pair_id).tolist()
     gens = [(diagonal[a], diagonal[b]) for a, b in alpha.pairs()]
     delta = np.array(_congruence_from_grids(m, grids, gens).block_of)

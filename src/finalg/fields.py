@@ -16,7 +16,7 @@ the rest of the package, so any module can use them.
 """
 from __future__ import annotations
 
-from math import isqrt, lcm
+from math import comb, isqrt, lcm
 
 import numpy as np
 
@@ -122,6 +122,49 @@ def group_coordinates(plus: np.ndarray, zero: int, p: int) -> np.ndarray:
     if not np.array_equal(out[plus], (out[:, None] + out[None, :]) % p):
         raise ValueError(f"designated addition is not an elementary abelian {p}-group")
     return out
+
+
+def coordinate_labels(coords: np.ndarray, p: int) -> np.ndarray:
+    """The inverse of coords: entry sum_j v_j * p**j is the element whose
+    coordinates are v."""
+    size, dim = coords.shape
+    labels = np.empty(size, dtype=np.int64)
+    labels[coords @ p ** np.arange(dim)] = np.arange(size)
+    return labels
+
+
+def newton_weights(p: int) -> np.ndarray:
+    """The (p, p) matrix of forward differences: Delta^j f(0) is the sum
+    over i of entry (j, i), (-1)^(j-i) binom(j, i) for i <= j, times f(i)."""
+    newton = np.zeros((p, p), dtype=np.int64)
+    for j in range(p):
+        for i in range(j + 1):
+            newton[j, i] = (-1) ** (j - i) * comb(j, i)
+    return newton
+
+
+def polynomial_degree(table: np.ndarray, arity: int, coords: np.ndarray, p: int) -> int:
+    """Degree of a flat arity-ary table over an elementary abelian p-group.
+
+    coords are the group's F_p coordinates (group_coordinates).  Read in
+    them, the table is a map F_p^(arity*dim) -> F_p^dim, and Newton's
+    forward-difference (Moebius) transform along each coordinate gives its
+    coefficients Delta^e g(0), e in {0..p-1}^(arity*dim).  The degree is the
+    largest |e| with a nonzero coefficient, 0 for a constant: the least D
+    for which every (D+1)-fold difference of g vanishes.
+    """
+    size, dim = coords.shape
+    by_code = coordinate_labels(coords, p)
+    # cell c of the grid holds g at the elements whose codes are c's digits
+    flat = np.zeros(size**arity, dtype=np.int64)
+    for codes in np.indices((size,) * arity).reshape(arity, size**arity):
+        flat = flat * size + by_code[codes]
+    grid = coords[np.asarray(table, dtype=np.int64)[flat]].reshape((p,) * (arity * dim) + (dim,))
+    newton = newton_weights(p)
+    for axis in range(arity * dim):
+        grid = np.moveaxis(np.tensordot(newton, grid, axes=([1], [axis])) % p, 0, axis)
+    exps = np.indices(grid.shape[:-1]).sum(axis=0)
+    return int(exps[grid.any(axis=-1)].max(initial=0))
 
 
 class PrimeSpan:

@@ -34,9 +34,15 @@ from .algebra import (
     term_table,
     unflatten_index,
 )
-from .clones import DEFAULT_CAP, free_spectrum, polynomial_functions, term_functions
+from .clones import (
+    DEFAULT_CAP,
+    abelian_group_operations,
+    free_spectrum,
+    polynomial_functions,
+    term_functions,
+)
 from .congruence import congruence_lattice, lattice_height, lower_central_series, nilpotency_class
-from .fields import abelian_group_info, finite_field, group_coordinates, is_prime
+from .fields import finite_field, group_coordinates
 from .polyclone import (
     FieldPolynomial,
     homovariate_parts,
@@ -514,22 +520,9 @@ def _detect_prime_plus(
 ) -> tuple[str, np.ndarray, np.ndarray, int]:
     """Find a binary operation that is an abelian group of prime exponent
     with the designated zero as identity; returns (name, table, neg, p)."""
-    candidates = (
-        [op for op in algebra.operations if op.name == plus_op]
-        if plus_op is not None
-        else [op for op in algebra.operations if op.arity == 2]
-    )
-    for op in candidates:
-        if op.arity != 2:
-            continue
-        tab = np.array(op.table, dtype=np.int64).reshape(algebra.size, algebra.size)
-        info = abelian_group_info(tab)
-        if info is None:
-            continue
-        ident, neg, exponent = info
-        if ident != zero or not is_prime(exponent):
-            continue
-        return op.name, tab, np.asarray(neg, dtype=np.int64), exponent
+    for span in abelian_group_operations(algebra):
+        if span.prime and span.zero == zero and plus_op in (None, span.plus_name):
+            return span.plus_name, span.plus.astype(np.int64), span.neg, span.exponent
     raise ValueError(
         "no binary operation forms an abelian group of prime exponent "
         f"with identity {zero}"

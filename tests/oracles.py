@@ -11,6 +11,7 @@ that the Mal'cev reference scans.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -390,6 +391,72 @@ def abelian_group_axioms(table: list[list[int]]) -> tuple[int, tuple[int, ...], 
         if all(m == e for m in multiples):
             return e, tuple(inverses), exponent
         exponent += 1
+
+
+def product_table(moduli: tuple[int, ...], perm: list[int]) -> np.ndarray:
+    """Cayley table of Z_m1 x ... x Z_mk with element e renamed perm[e]."""
+    elems = list(itertools.product(*(range(m) for m in moduli)))
+    index = {e: i for i, e in enumerate(elems)}
+    n = len(elems)
+    tab = np.zeros((n, n), dtype=np.int64)
+    for a, b in itertools.product(range(n), repeat=2):
+        s = tuple((x + y) % m for x, y, m in zip(elems[a], elems[b], moduli))
+        tab[perm[a], perm[b]] = perm[index[s]]
+    return tab
+
+
+def difference_degree(table, arity: int, plus, neg) -> int:
+    """The least D for which every (D+1)-fold difference of a flat table
+    vanishes, over the abelian group with Cayley table plus and negation neg.
+
+    The difference of g along h in A^arity is x -> g(x + h) - g(x); D is 0
+    for a constant, and otherwise one more than the largest D of the
+    differences of g, memoized on the table.
+    """
+    size = len(plus)
+    points = list(itertools.product(range(size), repeat=arity))
+    index = {x: i for i, x in enumerate(points)}
+    memo: dict[tuple[int, ...], int] = {}
+
+    def degree(values: tuple[int, ...]) -> int:
+        if values not in memo:
+            if len(set(values)) == 1:
+                memo[values] = 0
+            else:
+                memo[values] = 1 + max(
+                    degree(tuple(
+                        plus[values[index[tuple(plus[a][b] for a, b in zip(x, h))]]][neg[values[i]]]
+                        for i, x in enumerate(points)
+                    ))
+                    for h in points
+                )
+        return memo[values]
+
+    return degree(tuple(int(v) for v in table))
+
+
+def newton_table(rng, p: int, coords: np.ndarray, arity: int, degree: int) -> list[int]:
+    """A flat table of degree at most degree over the elementary abelian
+    p-group with F_p coordinates coords: g(x) = sum over e with |e| <= degree
+    of c_e prod_i binom(x_i, e_i), with random coefficients c_e in F_p^dim
+    and x the arity*dim coordinates of the arguments."""
+    size, dim = coords.shape
+    labels = {tuple(row): a for a, row in enumerate(coords.tolist())}
+    exps = [
+        e for e in itertools.product(range(p), repeat=arity * dim) if sum(e) <= degree
+    ]
+    coeffs = rng.integers(0, p, (len(exps), dim))
+    table = []
+    for args in itertools.product(range(size), repeat=arity):
+        x = [c for a in args for c in coords[a].tolist()]
+        value = [0] * dim
+        for e, c in zip(exps, coeffs.tolist()):
+            weight = 1
+            for xi, ei in zip(x, e):
+                weight *= math.comb(xi, ei)
+            value = [(v + weight * ci) % p for v, ci in zip(value, c)]
+        table.append(labels[tuple(value)])
+    return table
 
 
 def span_by_enumeration(vectors: list[tuple[int, ...]], p: int, dim: int) -> set[tuple[int, ...]]:

@@ -1,14 +1,25 @@
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finalg import clones
-from finalg.algebra import FiniteAlgebra, Operation, flat_index, term_table
+from finalg.algebra import (
+    Const,
+    FiniteAlgebra,
+    Operation,
+    Var,
+    cell_digits,
+    compose,
+    flat_index,
+    term_table,
+)
 from finalg.catalog import example_names, load_example
+from finalg.expansion import expand_pipeline
 from finalg.clones import (
     additive_structure,
     composition_batches,
@@ -20,7 +31,9 @@ from finalg.clones import (
     term_functions,
 )
 
-from oracles import bfs_closure_order, naive_closure
+from finalg.fields import group_coordinates
+
+from oracles import bfs_closure_order, naive_closure, newton_table, product_table
 
 
 def closure_tables(result) -> set[tuple[int, ...]]:
@@ -372,3 +385,140 @@ def test_closure_with_a_small_batch_budget_matches_bfs_oracle(monkeypatch):
     for name in ("z4", "m", "semilattice2"):
         assert_matches_bfs_oracle(load_example(name), 2, True, 90)
     assert_matches_bfs_oracle(load_example("lattice2"), 3, False, 1 << 20)
+
+
+def evaluate_term(algebra, term, arity) -> np.ndarray:
+    """The row of a term, one compose per distinct node, so that terms
+    sharing subterms cost their distinct nodes only."""
+    cells = cell_digits(algebra.size, arity)
+    memo: dict[int, np.ndarray] = {}
+
+    def row(t) -> np.ndarray:
+        if id(t) not in memo:
+            if isinstance(t, Var):
+                memo[id(t)] = cells[t.index]
+            elif isinstance(t, Const):
+                memo[id(t)] = np.full(cells.shape[1], t.value)
+            elif not t.args:
+                memo[id(t)] = np.full(cells.shape[1], algebra.operation(t.symbol).table[0])
+            else:
+                args = [row(a) for a in t.args]
+                memo[id(t)] = compose(algebra.op_array(t.symbol), algebra.size, args)
+        return memo[id(t)]
+
+    return row(term)
+
+
+@st.composite
+def prime_group_algebras(draw):
+    """Algebras whose first operation + is an elementary abelian p-group of
+    order p^d <= 9, relabelled, with one or two more operations of arity 0
+    to 3 whose tables are random or of bounded degree."""
+    p, dim = draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]))
+    size = p**dim
+    perm = draw(st.permutations(range(size)))
+    plus = product_table((p,) * dim, perm)
+    coords = group_coordinates(plus, perm[0], p)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ops = [Operation("+", 2, tuple(plus.reshape(-1).tolist()))]
+    for i, k in enumerate(draw(st.lists(st.integers(0, 3), min_size=1, max_size=2))):
+        bound = draw(st.sampled_from([None, 0, 1, 2, 3]))
+        if bound is None:
+            table = rng.integers(0, size, size**k).tolist()
+        else:
+            table = newton_table(rng, p, coords, k, bound)
+        ops.append(Operation(f"f{i}", k, tuple(table)))
+    return FiniteAlgebra("generated", size, ops)
+
+
+# on F_3^2 with coordinates (a, b), f(a, b) = (binom(a, 2), 0): from the
+# term x, only the second difference along x reaches f(2x) = (binom(2a, 2), 0)
+NEEDS_SECOND_DIFFERENCES = FiniteAlgebra(
+    "second differences",
+    9,
+    [
+        Operation("+", 2, tuple(product_table((3, 3), list(range(9))).reshape(-1).tolist())),
+        Operation("f", 1, (0, 0, 0, 0, 0, 0, 3, 3, 3)),
+    ],
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(prime_group_algebras(), st.integers(0, 3), st.booleans())
+@example(NEEDS_SECOND_DIFFERENCES, 1, False)
+def test_span_engine_matches_bfs_oracle(algebra, arity, constants):
+    # keep the plain-python reference fast: at most 9 cells per row, and
+    # closures of at most 81 rows, 27 with a ternary operation
+    while algebra.size**arity > 9:
+        arity -= 1
+    limit = 27 if algebra.max_arity == 3 else 81
+    close = polynomial_functions if constants else term_functions
+    got = close(algebra, arity, cap=limit)
+    rows, recipes, stop = bfs_closure_order(algebra, arity, constants, limit)
+    span = additive_structure(algebra)
+    if got.strategy == "bfs":
+        # past the cap a nonlinear signature hands over to bfs
+        assert span.nonlinear and stop == "cap"
+        assert [tuple(int(v) for v in row) for row in got.tables] == rows
+        assert got.recipes == recipes and got.capped and got.exact_count is None
+        return
+    assert got.exact and stop is None
+    assert closure_tables(got) == set(rows)
+    for fid in range(len(got)):
+        assert np.array_equal(evaluate_term(algebra, got.term_for(fid), arity), got.tables[fid])
+    if got.count < 2:
+        return
+    # one row under p^rank: a nonlinear signature answers as bfs does
+    below = close(algebra, arity, cap=got.count - 1)
+    rows, recipes, stop = bfs_closure_order(algebra, arity, constants, got.count - 1)
+    assert stop == "cap" and below.capped
+    if span.nonlinear:
+        assert [tuple(int(v) for v in row) for row in below.tables] == rows
+        assert below.recipes == recipes and below.exact_count is None
+    else:
+        assert below.exact_count == got.count
+
+
+@pytest.fixture(scope="module")
+def expanded():
+    """The expansions of z4 and d4; tests copy them to start with a cold
+    closure cache."""
+    return {
+        name: expand_pipeline(load_example(name), zero=0).expanded.as_algebra()
+        for name in ("z4", "d4")
+    }
+
+
+def cold(algebra: FiniteAlgebra) -> FiniteAlgebra:
+    return FiniteAlgebra(algebra.name, algebra.size, algebra.operations)
+
+
+@pytest.mark.parametrize("name, arity, rows, budget", [("z4", 3, 2048, 0.5), ("d4", 2, 8192, 5.0)])
+def test_expanded_polynomial_clones_are_exact_spans(expanded, name, arity, rows, budget):
+    algebra = cold(expanded[name])
+    started = time.perf_counter()
+    got = polynomial_functions(algebra, arity)
+    elapsed = time.perf_counter() - started
+    assert got.strategy == "span" and got.exact and not got.capped
+    assert got.count == len(got) == rows
+    assert elapsed < budget
+    for fid in range(0, rows, 97):
+        assert np.array_equal(evaluate_term(algebra, got.term_for(fid), arity), got.tables[fid])
+
+
+def test_span_engine_hands_over_to_bfs_at_the_cap_rank(expanded, monkeypatch):
+    ranks = []
+
+    class Spy(clones.PrimeSpan):
+        def add(self, vec):
+            grew = super().add(vec)
+            ranks.append(self.rank)
+            return grew
+
+    monkeypatch.setattr(clones, "PrimeSpan", Spy)
+    got = polynomial_functions(cold(expanded["d4"]), 3, cap=6000)
+    # 2**13 > 6000: the engine stops on its 13th basis row
+    assert max(ranks) == 13 and ranks[-1] == 13
+    bfs = polynomial_functions(cold(expanded["d4"]), 3, cap=6000, strategy="bfs")
+    assert got.strategy == "bfs" and got.capped and got.exact_count is None
+    assert np.array_equal(got.tables, bfs.tables) and got.recipes == bfs.recipes

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -218,6 +219,32 @@ def test_group_commutator_agrees():
     # r^i s^j with i of fixed parity and fixed j
     derived = commutator(dihedral16(), one_congruence(16), one_congruence(16))
     assert derived.blocks() == [(0, 2, 4, 6), (1, 3, 5, 7), (8, 10, 12, 14), (9, 11, 13, 15)]
+
+
+def test_commutator_grids_use_the_smallest_signed_pair_ids(monkeypatch):
+    # x - y + z mod 16 alone: the ternary grid over the 256 pairs of the
+    # full congruence has 256**3 entries, 32 MiB as int16 pair ids
+    cells = itertools.product(range(16), repeat=3)
+    algebra = parse_algebra({
+        "name": "affine16",
+        "size": 16,
+        "operations": [
+            {"name": "d", "arity": 3, "table": [(x - y + z) % 16 for x, y, z in cells]},
+        ],
+    })
+    seen = []
+
+    def spy(size, grids, pairs):
+        seen.append((size, [grid.dtype for grid in grids]))
+        return from_grids(size, grids, pairs)
+
+    from_grids = congruence._congruence_from_grids
+    monkeypatch.setattr(congruence, "_congruence_from_grids", spy)
+    one = one_congruence(16)
+    # the algebra is affine, so abelian: [1, 1] is the zero congruence
+    assert commutator(algebra, one, one).blocks() == [(a,) for a in range(16)]
+    # the pair subalgebra first, then the algebra itself for the forced pairs
+    assert seen[0] == (256, [np.dtype(np.int16)])
 
 
 @pytest.mark.parametrize(

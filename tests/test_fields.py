@@ -15,22 +15,17 @@ from finalg.fields import (
     finite_field,
     group_coordinates,
     is_prime,
+    polynomial_degree,
     prime_power,
 )
 
-from oracles import abelian_group_axioms, span_by_enumeration
-
-
-def product_table(moduli: tuple[int, ...], perm: list[int]) -> np.ndarray:
-    """Cayley table of Z_m1 x ... x Z_mk with element e renamed perm[e]."""
-    elems = list(itertools.product(*(range(m) for m in moduli)))
-    index = {e: i for i, e in enumerate(elems)}
-    n = len(elems)
-    tab = np.zeros((n, n), dtype=np.int64)
-    for a, b in itertools.product(range(n), repeat=2):
-        s = tuple((x + y) % m for x, y, m in zip(elems[a], elems[b], moduli))
-        tab[perm[a], perm[b]] = perm[index[s]]
-    return tab
+from oracles import (
+    abelian_group_axioms,
+    difference_degree,
+    newton_table,
+    product_table,
+    span_by_enumeration,
+)
 
 
 @st.composite
@@ -119,6 +114,36 @@ def test_group_coordinates_is_an_additive_bijection(group):
     assert not coords[zero].any()
     for a, b in itertools.product(range(size), repeat=2):
         assert np.array_equal(coords[plus[a, b]], (coords[a] + coords[b]) % p)
+
+
+@st.composite
+def group_operations(draw):
+    """An operation of arity 0 to 2 on a relabelled elementary abelian
+    p-group with at most 16 argument tuples, random or of bounded degree."""
+    p, dim = draw(st.sampled_from([(2, 0), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]))
+    size = p**dim
+    arity = draw(st.integers(0, 2 if size <= 4 else 1))
+    perm = draw(st.permutations(range(size)))
+    plus = product_table((p,) * dim, perm)
+    coords = group_coordinates(plus, perm[0], p)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bound = draw(st.sampled_from([None, 0, 1, 2, 3]))
+    if bound is None:
+        table = rng.integers(0, size, size**arity).tolist()
+    else:
+        table = newton_table(rng, p, coords, arity, bound)
+    return p, plus, coords, arity, table, bound
+
+
+@settings(max_examples=150, deadline=None)
+@given(group_operations())
+def test_polynomial_degree_is_the_least_vanishing_difference_order(case):
+    p, plus, coords, arity, table, bound = case
+    neg = abelian_group_info(plus)[1].tolist()
+    degree = polynomial_degree(np.array(table), arity, coords, p)
+    assert degree == difference_degree(table, arity, plus.tolist(), neg)
+    if bound is not None:
+        assert degree <= bound
 
 
 @pytest.mark.parametrize("p", [2, 3])
